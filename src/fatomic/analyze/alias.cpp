@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "fatomic/analyze/body.hpp"
+
 namespace fatomic::analyze {
 
 void AliasTarget::merge(const AliasTarget& o) {
@@ -30,42 +32,6 @@ void AliasTarget::merge(const AliasTarget& o) {
 
 namespace {
 
-using Tokens = std::vector<Token>;
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-bool is_number(const std::string& t) {
-  return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",       "else",    "for",      "while",     "do",       "switch",
-      "case",     "default", "return",   "break",     "continue", "throw",
-      "try",      "catch",   "new",      "delete",    "const",    "static",
-      "class",    "struct",  "enum",     "union",     "public",   "private",
-      "protected", "namespace", "using", "template",  "typename", "operator",
-      "sizeof",   "true",    "false",    "nullptr",   "this",     "auto",
-      "void",     "int",     "bool",     "char",      "unsigned", "signed",
-      "long",     "short",   "float",    "double",    "noexcept", "override",
-      "final",    "virtual", "explicit", "inline",    "constexpr", "mutable",
-      "friend",   "goto",    "extern",   "typedef",   "static_cast",
-      "dynamic_cast", "const_cast", "reinterpret_cast", "decltype",
-  };
-  return kw;
-}
-
-const std::set<std::string>& builtin_types() {
-  static const std::set<std::string> t = {
-      "void", "int",  "bool",   "char",     "unsigned",
-      "long", "short", "float", "double",   "signed",
-  };
-  return t;
-}
-
 /// Member calls that return (a handle into) their receiver's own storage:
 /// the chain continues through them unchanged.  `buckets_[i].get()` aliases
 /// the same subtree as `buckets_[i]`.
@@ -82,82 +48,20 @@ const std::set<std::string>& identity_accessors() {
 class FnParse {
  public:
   FnParse(const SourceModel& model, const AliasAnalysis& analysis,
-          const std::set<std::string>& scanned_names, const FunctionDef& def)
+          const std::set<std::string>& scanned_names, const IndexedDef& d)
       : model_(model),
         analysis_(analysis),
         scanned_names_(scanned_names),
-        def_(def),
-        body_(def.body) {
-    for (std::size_t i = 0; i < def.params.size(); ++i)
-      if (!def.params[i].name.empty()) param_pos_[def.params[i].name] = i;
+        def_(*d.def),
+        body_(d.whole) {
+    for (std::size_t i = 0; i < def_.params.size(); ++i)
+      if (!def_.params[i].name.empty()) param_pos_[def_.params[i].name] = i;
   }
 
   FnAliasInfo run();
 
  private:
-  const std::string& tk(std::size_t i) const {
-    static const std::string empty;
-    return i < body_.size() ? body_[i].text : empty;
-  }
-
-  std::size_t match_fwd(std::size_t i, const char* open,
-                        const char* close) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      if (tk(k) == open) ++depth;
-      else if (tk(k) == close && --depth == 0) return k;
-    }
-    return body_.size();
-  }
-
-  std::size_t stmt_end(std::size_t i) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") {
-        if (--depth < 0) return k;
-      } else if (t == ";" && depth == 0) {
-        return k;
-      }
-    }
-    return body_.size();
-  }
-
-  /// End of an initializer starting at `b`: the next `;`, top-level `,`, or
-  /// unbalanced closing bracket.
-  std::size_t init_end(std::size_t b) const {
-    int depth = 0;
-    for (std::size_t k = b; k < body_.size(); ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") {
-        if (--depth < 0) return k;
-      } else if ((t == ";" || t == ",") && depth == 0) {
-        return k;
-      }
-    }
-    return body_.size();
-  }
-
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open, std::size_t close) const {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    if (close <= open + 1) return out;
-    int depth = 0;
-    std::size_t b = open + 1;
-    for (std::size_t k = open + 1; k < close; ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") --depth;
-      else if (t == "," && depth == 0) {
-        out.push_back({b, k});
-        b = k + 1;
-      }
-    }
-    out.push_back({b, close});
-    return out;
-  }
+  const std::string& tk(std::size_t i) const { return body_.tk(i); }
 
   const FnAliasInfo* lookup(const std::string& key) const {
     return analysis_.find(key);
@@ -178,7 +82,7 @@ class FnParse {
   const AliasAnalysis& analysis_;
   const std::set<std::string>& scanned_names_;
   const FunctionDef& def_;
-  const Tokens& body_;
+  const BodyIndex& body_;
   std::map<std::string, std::size_t> param_pos_;
   FnAliasInfo info_;
   /// Locals stored into unmodelled sinks this pass; widened to ⊤ after the
@@ -250,8 +154,7 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
   if (tk(k) == "this") {
     base_this = true;
     ++k;
-  } else if (is_ident(tk(k)) && !is_number(tk(k)) &&
-             !keywords().count(tk(k))) {
+  } else if (is_name(tk(k))) {
     // Possibly qualified head: `ns::f(...)`, `std::move(...)`, `obj`.
     std::string leading = tk(k);
     std::string last = tk(k);
@@ -261,7 +164,7 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
       k += 2;
     }
     if (k < e && tk(k) == "(") {
-      const std::size_t close = match_fwd(k, "(", ")");
+      const std::size_t close = body_.close(k);
       if (leading == "std" && leading != last) {
         if (last == "move" || last == "forward")
           return resolve(k + 1, std::min(close, e), depth + 1);
@@ -287,7 +190,7 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
       const std::string& m = tk(k + 1);
       if (k + 2 < e && tk(k + 2) == "(") {
         if (!identity_accessors().count(m)) return AliasTarget::top();
-        k = std::min(match_fwd(k + 2, "(", ")"), e) + 1;  // transparent
+        k = std::min(body_.close(k + 2), e) + 1;  // transparent
         continue;
       }
       members.push_back(m);
@@ -295,7 +198,7 @@ AliasTarget FnParse::resolve(std::size_t b, std::size_t e, int depth) {
       continue;
     }
     if (t == "[") {
-      k = std::min(match_fwd(k, "[", "]"), e) + 1;  // element-of: same subtree
+      k = std::min(body_.close(k), e) + 1;  // element-of: same subtree
       continue;
     }
     break;
@@ -356,10 +259,7 @@ AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
     FnAliasInfo merged;
     bool any = false;
     for (const auto& [key, fi] : analysis_.by_key) {
-      const std::size_t sep = key.rfind("::");
-      const std::string simple =
-          sep == std::string::npos ? key : key.substr(sep + 2);
-      if (simple != name) continue;
+      if (simple_of(key) != name) continue;
       any = true;
       merged.returns.merge(fi.returns);
       merged.has_return |= fi.has_return;
@@ -380,7 +280,7 @@ AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
   // Param return: re-resolve the argument expressions at the returned
   // positions in this frame, keeping the callee's (innermost) roots.
   if (r.positions.empty()) return AliasTarget::top();
-  const auto args = split_args(open, close);
+  const auto args = body_.split_args(open, close);
   AliasTarget out = AliasTarget::local();
   for (std::size_t p : r.positions) {
     if (p >= args.size()) return AliasTarget::top();
@@ -397,92 +297,29 @@ AliasTarget FnParse::resolve_call(const std::string& name, std::size_t open,
 /// binds the introduced names and leaves `next` inside the initializer so
 /// the linear scan still sees its calls.
 bool FnParse::try_decl(std::size_t i, std::size_t& next) {
-  std::size_t j = i;
-  while (tk(j) == "const" || tk(j) == "static" || tk(j) == "constexpr") ++j;
-  bool is_auto = false;
-  if (tk(j) == "auto") {
-    is_auto = true;
-    ++j;
-  } else {
-    const std::string& first = tk(j);
-    if (!is_ident(first) || is_number(first)) return false;
-    if (keywords().count(first) && !builtin_types().count(first)) return false;
-    if (builtin_types().count(first)) {
-      while (builtin_types().count(tk(j))) ++j;
-    } else {
-      ++j;
-      while (tk(j) == "::" && is_ident(tk(j + 1))) j += 2;
-    }
-    if (tk(j) == "<") {
-      int depth = 0;
-      bool closed = false;
-      for (; j < body_.size(); ++j) {
-        const std::string& t = tk(j);
-        if (t == "<") ++depth;
-        else if (t == ">") {
-          if (--depth == 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ">>") {
-          depth -= 2;
-          if (depth <= 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ";" || t == "{" || t == "}") {
-          return false;
-        }
-      }
-      if (!closed) return false;
-    }
-  }
-  bool is_indirect = false;
-  while (tk(j) == "*" || tk(j) == "&" || tk(j) == "&&" || tk(j) == "const") {
-    if (tk(j) != "const") is_indirect = true;
-    ++j;
-  }
-
-  if (is_auto && tk(j) == "[") {  // structured binding
-    std::vector<std::string> names;
-    for (++j; j < body_.size() && tk(j) != "]"; ++j)
-      if (is_ident(tk(j))) names.push_back(tk(j));
-    if (tk(j) != "]") return false;
-    ++j;
-    if (tk(j) != "=" && tk(j) != ":") return false;
-    const AliasTarget t = is_indirect ? resolve(j + 1, init_end(j + 1))
-                                      : AliasTarget::local();
-    for (const std::string& n : names) bind(n, t);
-    next = j + 1;
+  const std::optional<Declaration> d = body_.declaration_at(i);
+  if (!d) return false;
+  const bool indirect = d->is_ptr || d->is_ref;
+  const std::string& after = tk(d->after);
+  if (d->structured) {
+    const AliasTarget t = indirect ? resolve(d->init_b, d->init_e)
+                                   : AliasTarget::local();
+    for (const std::string& n : d->names) bind(n, t);
+    next = d->after + 1;
     return true;
   }
-
-  const std::string& name = tk(j);
-  if (!is_ident(name) || is_number(name) || keywords().count(name))
-    return false;
-  const std::string& after = tk(j + 1);
-  if (after != "=" && after != ";" && after != "," && after != ":" &&
-      after != "(" && after != "{" && after != ")")
-    return false;
-
-  if (!is_indirect && !is_auto) {
+  const std::string& name = d->names.front();
+  if (!indirect && !d->is_auto) {
     bind(name, AliasTarget::local());  // by-value copy: writes stay local
-    next = after == "=" ? j + 2 : j + 1;
+    next = after == "=" ? d->after + 1 : d->after;
     return true;
   }
-  if (after == "=" || after == ":") {
-    bind(name, resolve(j + 2, init_end(j + 2)));
-    next = j + 2;
-  } else if (after == "(" || after == "{") {
-    const std::size_t close =
-        match_fwd(j + 1, after.c_str(), after == "(" ? ")" : "}");
-    bind(name, resolve(j + 2, close));
-    next = j + 2;
+  if (after == "=" || after == ":" || after == "(" || after == "{") {
+    bind(name, resolve(d->init_b, d->init_e));
+    next = d->after + 1;
   } else {
     bind(name, AliasTarget::local());  // no initializer
-    next = j + 1;
+    next = d->after;
   }
   return true;
 }
@@ -492,13 +329,13 @@ bool FnParse::try_decl(std::size_t i, std::size_t& next) {
 void FnParse::scan_invoke_args(std::size_t i) {
   const std::size_t open = i + 1;
   if (tk(open) != "(") return;
-  const std::size_t close = match_fwd(open, "(", ")");
-  const auto args = split_args(open, close);
+  const std::size_t close = body_.close(open);
+  const auto args = body_.split_args(open, close);
   if (args.size() < 2) return;
   const auto [b, e] = args[1];
   for (std::size_t k = b; k < e; ++k) {
     if (tk(k) != "tie" || tk(k + 1) != "(") continue;
-    const std::size_t tclose = match_fwd(k + 1, "(", ")");
+    const std::size_t tclose = body_.close(k + 1);
     for (std::size_t m = k + 2; m < tclose && m < e; ++m) {
       auto it = param_pos_.find(tk(m));
       if (it != param_pos_.end()) info_.tied_positions.insert(it->second);
@@ -528,22 +365,12 @@ void FnParse::scan_this(std::size_t i) {
     return;
   }
   if (prev == "(" || prev == ",") {
-    // Argument position: walk back to the call's identifier.
-    int depth = 0;
-    for (std::ptrdiff_t k = static_cast<std::ptrdiff_t>(i) - 1; k >= 0; --k) {
-      const std::string& t = tk(static_cast<std::size_t>(k));
-      if (t == ")" || t == "]" || t == "}") ++depth;
-      else if (t == "(" || t == "[" || t == "{") {
-        if (depth == 0) {
-          if (k > 0 && is_ident(tk(static_cast<std::size_t>(k) - 1)) &&
-              !keywords().count(tk(static_cast<std::size_t>(k) - 1))) {
-            info_.this_sinks.insert(tk(static_cast<std::size_t>(k) - 1));
-            return;
-          }
-          break;
-        }
-        --depth;
-      }
+    // Argument position: the call's identifier precedes the enclosing
+    // bracket.
+    const std::size_t k = body_.enclosing_open(i);
+    if (k != BodyIndex::npos && k > 0 && is_name(tk(k - 1))) {
+      info_.this_sinks.insert(tk(k - 1));
+      return;
     }
   }
   info_.this_top = true;
@@ -559,11 +386,7 @@ void FnParse::scan_call_escapes(std::size_t i, std::size_t open,
                                 std::size_t close) {
   const std::string& name = tk(i);
   if (name.rfind("FAT_", 0) == 0) return;
-  std::string leading;
-  for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i) - 1;
-       j >= 1 && tk(static_cast<std::size_t>(j)) == "::"; j -= 2)
-    leading = tk(static_cast<std::size_t>(j) - 1);
-  if (leading == "std") return;
+  if (body_.leading_qualifier(i) == "std") return;
   if (identity_accessors().count(name)) return;
   if (scanned_names_.count(name)) return;
   if (model_.class_names.count(name)) return;
@@ -590,7 +413,7 @@ FnAliasInfo FnParse::run() {
       continue;
     }
     if (t == "return") {
-      const std::size_t e = stmt_end(i);
+      const std::size_t e = body_.stmt_end(i);
       if (i + 1 < e) {
         AliasTarget r = resolve(i + 1, e);
         // An unresolvable return chain must poison the summary, not bottom
@@ -602,7 +425,7 @@ FnAliasInfo FnParse::run() {
       ++i;  // keep scanning inside the return expression (calls, this)
       continue;
     }
-    if (stmt_start && is_ident(t) && !is_number(t)) {
+    if (stmt_start && is_ident(t)) {
       std::size_t next = i;
       if (try_decl(i, next)) {
         stmt_start = false;
@@ -610,18 +433,18 @@ FnAliasInfo FnParse::run() {
         continue;
       }
     }
-    if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
+    if (is_name(t)) {
       if (t.rfind("FAT_", 0) == 0 &&
           t.find("INVOKE_ARGS") != std::string::npos)
         scan_invoke_args(i);
       if (tk(i + 1) == "(") {
-        const std::size_t close = match_fwd(i + 1, "(", ")");
+        const std::size_t close = body_.close(i + 1);
         scan_call_escapes(i, i + 1, close);
       }
       // Reassignment of a bound local: flow-insensitive union with the new
       // value (`x = x->next` inside loops converges through the fixpoint).
       if (stmt_start && tk(i + 1) == "=" && info_.locals.count(t))
-        bind(t, resolve(i + 2, init_end(i + 2)));
+        bind(t, resolve(i + 2, body_.expr_end(i + 2)));
       stmt_start = false;
       ++i;
       continue;
@@ -642,21 +465,23 @@ bool info_equal(const FnAliasInfo& a, const FnAliasInfo& b) {
 }  // namespace
 
 AliasAnalysis analyze_aliases(const SourceModel& model) {
+  return analyze_aliases(model, index_definitions(model));
+}
+
+AliasAnalysis analyze_aliases(const SourceModel& model,
+                              const std::vector<IndexedDef>& defs) {
   AliasAnalysis out;
   std::set<std::string> scanned_names;
-  for (const FunctionDef& def : model.functions) scanned_names.insert(def.name);
+  for (const IndexedDef& d : defs) scanned_names.insert(d.def->name);
 
   // Optimistic fixpoint over the return-alias summaries: targets start at
   // the bottom (Local) and merges only move up the lattice, so iteration
   // converges; the cap is a backstop far above any real call-DAG depth.
   for (int round = 0; round < 10; ++round) {
     bool changed = false;
-    for (const FunctionDef& def : model.functions) {
-      const std::string key = def.class_name.empty()
-                                  ? def.name
-                                  : def.class_name + "::" + def.name;
-      FnAliasInfo fresh = FnParse(model, out, scanned_names, def).run();
-      FnAliasInfo& cur = out.by_key[key];
+    for (const IndexedDef& d : defs) {
+      FnAliasInfo fresh = FnParse(model, out, scanned_names, d).run();
+      FnAliasInfo& cur = out.by_key[d.key];
       FnAliasInfo merged = cur;
       for (const auto& [n, t] : fresh.locals) merged.locals[n].merge(t);
       merged.tied_positions.insert(fresh.tied_positions.begin(),

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "fatomic/analyze/body.hpp"
 #include "fatomic/analyze/source_model.hpp"
 #include "fatomic/analyze/write_sets.hpp"
 #include "fatomic/detect/campaign.hpp"
@@ -124,6 +125,9 @@ struct AliasAnalysis {
 /// Runs the alias/escape pass over every scanned function definition (full
 /// bodies, so the FAT_INVOKE_ARGS tie list is visible), iterating the
 /// return-alias summaries to a fixpoint.
+AliasAnalysis analyze_aliases(const SourceModel& model,
+                              const std::vector<IndexedDef>& defs);
+/// Same, indexing the model's definitions first.
 AliasAnalysis analyze_aliases(const SourceModel& model);
 
 /// One dynamically observed write the static plan fails to cover.

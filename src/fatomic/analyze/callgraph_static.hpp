@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "fatomic/analyze/body.hpp"
 #include "fatomic/analyze/exception_flow.hpp"
 #include "fatomic/analyze/source_model.hpp"
 #include "fatomic/detect/campaign.hpp"
@@ -79,9 +80,14 @@ struct StaticCallGraph {
   bool covers(const std::string& node, const std::string& type) const;
 };
 
-/// Builds the static graph from a scanned source model.  The runtime
-/// exception names (the injector's E_{k+1}..E_n, demangled) seed every
-/// node's may-propagate set, mirroring Pass 2.
+/// Builds the static graph from a scanned source model and its indexed
+/// definitions (full bodies).  The runtime exception names (the injector's
+/// E_{k+1}..E_n, demangled) seed every node's may-propagate set, mirroring
+/// Pass 2.
+StaticCallGraph build_static_call_graph(
+    const SourceModel& model, const std::vector<IndexedDef>& defs,
+    const std::set<std::string>& runtime_exception_names);
+/// Same, indexing the model's definitions first.
 StaticCallGraph build_static_call_graph(
     const SourceModel& model,
     const std::set<std::string>& runtime_exception_names);

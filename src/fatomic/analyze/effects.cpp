@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstddef>
 #include <limits>
 
 #include "fatomic/analyze/alias.hpp"
+#include "fatomic/analyze/body.hpp"
 
 namespace fatomic::analyze {
 
@@ -19,42 +18,6 @@ const char* EffectSummary::verdict() const {
 }
 
 namespace {
-
-using Tokens = std::vector<Token>;
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-bool is_number(const std::string& t) {
-  return !t.empty() && std::isdigit(static_cast<unsigned char>(t[0]));
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",       "else",    "for",      "while",     "do",       "switch",
-      "case",     "default", "return",   "break",     "continue", "throw",
-      "try",      "catch",   "new",      "delete",    "const",    "static",
-      "class",    "struct",  "enum",     "union",     "public",   "private",
-      "protected", "namespace", "using", "template",  "typename", "operator",
-      "sizeof",   "true",    "false",    "nullptr",   "this",     "auto",
-      "void",     "int",     "bool",     "char",      "unsigned", "signed",
-      "long",     "short",   "float",    "double",    "noexcept", "override",
-      "final",    "virtual", "explicit", "inline",    "constexpr", "mutable",
-      "friend",   "goto",    "extern",   "typedef",   "static_cast",
-      "dynamic_cast", "const_cast", "reinterpret_cast", "decltype",
-  };
-  return kw;
-}
-
-const std::set<std::string>& builtin_types() {
-  static const std::set<std::string> t = {
-      "void", "int",  "bool",   "char",     "unsigned",
-      "long", "short", "float", "double",   "signed",
-  };
-  return t;
-}
 
 /// Member calls that never mutate their receiver nor raise (accessors of the
 /// standard library and of smart pointers).  Checked only after the
@@ -76,6 +39,21 @@ const std::set<std::string>& pure_std_calls() {
       "isdigit",  "isalpha",   "isalnum",
   };
   return p;
+}
+
+/// Lattice join of two summaries: every bit and set only grows.
+void join(FnSummary& dst, const FnSummary& src) {
+  dst.mutates_env |= src.mutates_env;
+  dst.mutates_params |= src.mutates_params;
+  dst.may_throw |= src.may_throw;
+  dst.catches |= src.catches;
+  dst.writes_unknown |= src.writes_unknown;
+  dst.param_writes_unknown |= src.param_writes_unknown;
+  dst.param_positions_unknown |= src.param_positions_unknown;
+  dst.writes.insert(src.writes.begin(), src.writes.end());
+  dst.param_writes.insert(src.param_writes.begin(), src.param_writes.end());
+  dst.write_param_positions.insert(src.write_param_positions.begin(),
+                                   src.write_param_positions.end());
 }
 
 /// Which caller-visible state an event touches.
@@ -108,7 +86,6 @@ struct Event {
 
 struct Ctx {
   const SourceModel* model;
-  const AnalyzeOptions* opts;
   /// Summaries keyed "Class::helper" / free "helper".
   const std::map<std::string, FnSummary>* by_key;
   /// Summaries merged over every definition sharing a simple name — the
@@ -121,10 +98,9 @@ struct Ctx {
   /// either side of an inheritance edge): receiver-typed resolution must
   /// not narrow calls through these, an unscanned override could run.
   const std::set<std::string>* dispatch_risky;
-  /// Pass 5 alias bindings, or nullptr in context-insensitive mode: writes
-  /// through tracked locals resolve to the receiver subtree (or parameter
-  /// position) the local aliases instead of collapsing to an unresolved
-  /// environment write.
+  /// Pass 5 alias bindings: writes through tracked locals resolve to the
+  /// receiver subtree (or parameter position) the local aliases instead of
+  /// collapsing to an unresolved environment write.
   const AliasAnalysis* alias;
 };
 
@@ -132,20 +108,15 @@ struct Ctx {
 /// summary table (see analyze_effects for the fixpoint driving this).
 class BodyScan {
  public:
-  BodyScan(const Tokens& body, const FunctionDef& def, const Ctx& ctx)
-      : body_(body), def_(def), ctx_(ctx) {
-    for (std::size_t i = 0; i < def.params.size(); ++i) {
-      const Param& p = def.params[i];
+  BodyScan(const IndexedDef& d, const Ctx& ctx)
+      : body_(d.invoke_body()), def_(*d.def), ctx_(ctx),
+        alias_(*ctx.alias->find(d.key)) {
+    for (std::size_t i = 0; i < def_.params.size(); ++i) {
+      const Param& p = def_.params[i];
       if (p.name.empty()) continue;
       params_[p.name] = !p.is_const && (p.is_ref || p.is_ptr);
       param_pos_[p.name] = i;
     }
-    if (ctx.alias != nullptr)
-      alias_ = ctx.alias->find(def.class_name.empty()
-                                   ? def.name
-                                   : def.class_name + "::" + def.name);
-    compute_loops();
-    compute_trys();
   }
 
   void run();
@@ -164,49 +135,7 @@ class BodyScan {
     bool is_ref = false;
   };
 
-  bool cs() const { return ctx_.opts->context_sensitive; }
-
-  const std::string& tk(std::size_t i) const {
-    static const std::string empty;
-    return i < body_.size() ? body_[i].text : empty;
-  }
-
-  std::size_t match_fwd(std::size_t i, const char* open,
-                        const char* close) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      if (tk(k) == open) ++depth;
-      else if (tk(k) == close && --depth == 0) return k;
-    }
-    return body_.size();
-  }
-
-  std::ptrdiff_t match_back(std::ptrdiff_t i, const char* open,
-                            const char* close) const {
-    int depth = 0;
-    for (std::ptrdiff_t k = i; k >= 0; --k) {
-      if (tk(static_cast<std::size_t>(k)) == close) ++depth;
-      else if (tk(static_cast<std::size_t>(k)) == open && --depth == 0)
-        return k;
-    }
-    return -1;
-  }
-
-  /// End of the statement starting at/continuing through `i`: the next `;`
-  /// at bracket depth zero (or an unbalanced closing brace).
-  std::size_t stmt_end(std::size_t i) const {
-    int depth = 0;
-    for (std::size_t k = i; k < body_.size(); ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") {
-        if (--depth < 0) return k;
-      } else if (t == ";" && depth == 0) {
-        return k;
-      }
-    }
-    return body_.size();
-  }
+  const std::string& tk(std::size_t i) const { return body_.tk(i); }
 
   Kind classify(const std::string& name) const {
     if (auto it = locals_.find(name); it != locals_.end())
@@ -220,7 +149,7 @@ class BodyScan {
   /// name component, not a literal or keyword)?
   bool base_ident_at(std::size_t k, std::size_t from) const {
     const std::string& t = tk(k);
-    if (!is_ident(t) || is_number(t) || keywords().count(t)) return false;
+    if (!is_name(t)) return false;
     if (k > from) {
       const std::string& prev = tk(k - 1);
       if (prev == "." || prev == "->" || prev == "::") return false;
@@ -252,27 +181,6 @@ class BodyScan {
       auto it = param_pos_.find(tk(k));
       if (it != param_pos_.end()) out.insert(it->second);
     }
-    return out;
-  }
-
-  /// Splits the argument list in (open, close) at top-level commas into
-  /// [begin, end) token ranges.  Empty for a zero-argument call.
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open, std::size_t close) const {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    if (close <= open + 1) return out;
-    int depth = 0;
-    std::size_t b = open + 1;
-    for (std::size_t k = open + 1; k < close; ++k) {
-      const std::string& t = tk(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      else if (t == ")" || t == "]" || t == "}") --depth;
-      else if (t == "," && depth == 0) {
-        out.push_back({b, k});
-        b = k + 1;
-      }
-    }
-    out.push_back({b, close});
     return out;
   }
 
@@ -331,7 +239,7 @@ class BodyScan {
     std::ptrdiff_t j = static_cast<std::ptrdiff_t>(end) - 1;
     while (j >= 0) {
       const std::string& t = tk(static_cast<std::size_t>(j));
-      if (is_ident(t) && !keywords().count(t) && !is_number(t) && first) {
+      if (is_name(t) && first) {
         c.recv_name = t;
         c.recv_starred = j > 0 && tk(static_cast<std::size_t>(j) - 1) == "*";
         first = false;
@@ -340,9 +248,10 @@ class BodyScan {
         first = false;
       }
       if (t == ")" || t == "]") {
-        const std::ptrdiff_t open =
-            match_back(j, t == ")" ? "(" : "[", t == ")" ? ")" : "]");
-        if (open < 0) break;
+        const std::size_t open_pos =
+            body_.open_of(static_cast<std::size_t>(j));
+        if (open_pos == BodyIndex::npos) break;
+        const auto open = static_cast<std::ptrdiff_t>(open_pos);
         if (t == ")") pending_index = false;
         if (t == ")" && open > 0 &&
             ctx_.model->class_names.count(
@@ -364,7 +273,7 @@ class BodyScan {
         --j;
         continue;
       }
-      if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
+      if (is_name(t)) {
         if (pending_index && c.recv_name.empty()) {
           c.recv_name = t;
           c.recv_starred =
@@ -415,7 +324,7 @@ class BodyScan {
         ++k;
         continue;
       }
-      if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
+      if (is_name(t)) {
         if (base.empty()) base = t;
         c.recv_name = t;  // last identifier wins: the written member
         ++k;
@@ -466,15 +375,15 @@ class BodyScan {
     for (std::size_t k = b; k < e; ++k) {
       const std::string& t = tk(k);
       if (t == "." || t == "->" || t == "::") continue;
-      if (!is_ident(t) || keywords().count(t) || is_number(t))
+      if (!is_name(t))
         return {{}, false};
     }
     const Chain c = chain_before(e);
     if (c.recv_name.empty() || c.recv_starred) return {{}, false};
     if (locals_.count(c.recv_name)) {
-      if (cs() && alias_ != nullptr && c.recv_name == c.base_name) {
-        auto it = alias_->locals.find(c.base_name);
-        if (it != alias_->locals.end() &&
+      if (c.recv_name == c.base_name) {
+        auto it = alias_.locals.find(c.base_name);
+        if (it != alias_.locals.end() &&
             it->second.kind == AliasTarget::Kind::Field &&
             !it->second.roots.empty())
           return {{it->second.roots.begin(), it->second.roots.end()}, true};
@@ -483,17 +392,6 @@ class BodyScan {
     }
     return {{c.recv_name}, true};
   }
-
-  void compute_loops();
-  void compute_trys();
-  /// Can an exception raised at `pos` (of type `type`; empty = unknown,
-  /// e.g. an injected exception or an unresolved call) escape this
-  /// function, given the enclosing try/catch nesting?  `catch (...)`
-  /// stops anything; a typed handler stops exactly its own type and
-  /// scanned derived types.
-  bool throw_escapes(std::size_t pos, const std::string& type) const;
-  bool handler_matches(const std::string& handler,
-                       const std::string& type) const;
 
   void emit(std::size_t pos, bool mut, bool thr, bool via_param,
             std::vector<std::string> targets = {}, bool target_unknown = true,
@@ -527,10 +425,8 @@ class BodyScan {
   /// caller-meaningless (and could shadow a real member).
   void emit_write(std::size_t pos, const Chain& c) {
     const AliasTarget* t = nullptr;
-    if (alias_ != nullptr) {
-      auto it = alias_->locals.find(c.base_name);
-      if (it != alias_->locals.end()) t = &it->second;
-    }
+    if (auto it = alias_.locals.find(c.base_name); it != alias_.locals.end())
+      t = &it->second;
     const bool deeper = !c.recv_name.empty() && !c.recv_starred &&
                         c.recv_name != c.base_name;
     if (t == nullptr || t->kind == AliasTarget::Kind::Top) {
@@ -564,11 +460,12 @@ class BodyScan {
     return it != locals_.end() && it->second.is_ref;
   }
 
-  /// Param-mutation events for a call to a summarized callee.  Context-
-  /// sensitive mode re-evaluates only the argument expressions at the
-  /// callee's written parameter positions (and names the written subtree
-  /// from the argument chain itself); otherwise any tracked argument
-  /// anywhere in the list counts, with the callee's own write names.
+  /// Param-mutation events for a call to a summarized callee.  When the
+  /// callee's written parameter positions are known, only the argument
+  /// expressions at those positions are re-evaluated (and the written
+  /// subtree is named from the argument chain itself); otherwise any
+  /// tracked argument anywhere in the list counts, with the callee's own
+  /// write names.
   void emit_param_writes(std::size_t i, std::size_t close, const FnSummary& s);
   /// Mutation events for a library call that may write through any tracked
   /// argument (std::move, generic algorithms, unknown member calls' args).
@@ -610,155 +507,23 @@ class BodyScan {
     const std::string& type = ft->second;
     for (const auto& [qualified, cm] : ctx_.model->classes) {
       if (!cm.instrumented.count(method)) continue;
-      const std::size_t sep = qualified.rfind("::");
-      const std::string last =
-          sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-      if (type.find(last) != std::string::npos) return false;
+      if (type.find(simple_of(qualified)) != std::string::npos) return false;
     }
     return true;
   }
 
-  struct TryRegion {
-    std::size_t body_b = 0, body_e = 0;  ///< try-block body token range
-    bool catches_all = false;            ///< has a `catch (...)` handler
-    std::vector<std::string> handler_types;  ///< simple type names
-  };
-
-  const Tokens& body_;
+  const BodyIndex& body_;
   const FunctionDef& def_;
   const Ctx& ctx_;
-  /// Alias bindings for this definition (Pass 5), or nullptr when the
-  /// analysis runs context-insensitively.
-  const FnAliasInfo* alias_ = nullptr;
+  /// Alias bindings for this definition (Pass 5).
+  const FnAliasInfo& alias_;
   std::map<std::string, Var> locals_;
   std::map<std::string, bool> params_;  ///< name -> tracked
   std::map<std::string, std::size_t> param_pos_;
-  std::vector<TryRegion> trys_;
   /// Simple type name of the explicit `throw` currently being emitted
   /// (empty otherwise): lets emit() consult typed catch handlers.
   std::string throw_hint_;
-  /// Outermost loop interval covering each token, or npos.
-  std::vector<std::size_t> loop_start_, loop_end_;
-
-  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 };
-
-void BodyScan::compute_loops() {
-  loop_start_.assign(body_.size(), npos);
-  loop_end_.assign(body_.size(), npos);
-  std::size_t i = 0;
-  while (i < body_.size()) {
-    const std::string& t = tk(i);
-    if (t != "for" && t != "while" && t != "do") {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    std::size_t end = i;
-    if (t == "do") {
-      if (tk(i + 1) != "{") {
-        ++i;
-        continue;
-      }
-      end = match_fwd(i + 1, "{", "}");
-      if (tk(end + 1) == "while" && tk(end + 2) == "(")
-        end = match_fwd(end + 2, "(", ")");
-    } else {
-      if (tk(i + 1) != "(") {
-        ++i;
-        continue;
-      }
-      const std::size_t header = match_fwd(i + 1, "(", ")");
-      if (header >= body_.size()) break;
-      if (tk(header + 1) == "{")
-        end = match_fwd(header + 1, "{", "}");
-      else
-        end = stmt_end(header + 1);
-    }
-    end = std::min(end, body_.size() - 1);
-    for (std::size_t k = start; k <= end; ++k) {
-      loop_start_[k] = start;
-      loop_end_[k] = end;
-    }
-    i = end + 1;
-  }
-}
-
-void BodyScan::compute_trys() {
-  // Every `try { body } catch (T1) {h1} catch (T2) {h2} ...` in the body,
-  // including nested ones (the linear scan revisits inner try tokens).
-  // Handler bodies are deliberately outside the recorded range: a throw in
-  // a handler — including a `throw;` rethrow — is only covered by *outer*
-  // try blocks, which is exactly C++'s semantics.
-  for (std::size_t i = 0; i + 1 < body_.size(); ++i) {
-    if (tk(i) != "try" || tk(i + 1) != "{") continue;
-    TryRegion r;
-    const std::size_t body_close = match_fwd(i + 1, "{", "}");
-    if (body_close >= body_.size()) continue;
-    r.body_b = i + 2;
-    r.body_e = body_close;
-    std::size_t k = body_close + 1;
-    while (tk(k) == "catch" && tk(k + 1) == "(") {
-      const std::size_t pclose = match_fwd(k + 1, "(", ")");
-      if (pclose >= body_.size()) break;
-      std::vector<std::string> idents;
-      bool all = false;
-      for (std::size_t m = k + 2; m < pclose; ++m) {
-        const std::string& t = tk(m);
-        if (t == "..." || t == ".") all = true;
-        if (is_ident(t) && t != "const" && !builtin_types().count(t))
-          idents.push_back(t);
-      }
-      if (all) {
-        r.catches_all = true;
-      } else if (!idents.empty()) {
-        // Drop a trailing variable name (`catch (const E& e)`): the last
-        // identifier is the variable exactly when it sits right before `)`
-        // after another identifier or a declarator token.
-        if (idents.size() >= 2 && is_ident(tk(pclose - 1)) &&
-            tk(pclose - 1) == idents.back())
-          idents.pop_back();
-        r.handler_types.push_back(idents.back());
-      }
-      if (tk(pclose + 1) != "{") break;
-      k = match_fwd(pclose + 1, "{", "}") + 1;
-    }
-    trys_.push_back(r);
-  }
-}
-
-bool BodyScan::handler_matches(const std::string& handler,
-                               const std::string& type) const {
-  if (handler == type) return true;
-  // handler is a (transitive) base of the thrown type, per the scanned
-  // inheritance edges.  Unknown bases simply end the walk: no match, the
-  // throw keeps propagating — conservative.
-  std::vector<std::string> work{type};
-  std::set<std::string> seen;
-  while (!work.empty()) {
-    const std::string cur = work.back();
-    work.pop_back();
-    if (!seen.insert(cur).second) continue;
-    auto it = ctx_.model->bases.find(cur);
-    if (it == ctx_.model->bases.end()) continue;
-    for (const std::string& b : it->second) {
-      if (b == handler) return true;
-      work.push_back(b);
-    }
-  }
-  return false;
-}
-
-bool BodyScan::throw_escapes(std::size_t pos, const std::string& type) const {
-  for (const TryRegion& r : trys_) {
-    if (pos < r.body_b || pos >= r.body_e) continue;
-    if (r.catches_all) return false;
-    if (type.empty()) continue;  // unknown type: only catch (...) is certain
-    for (const std::string& h : r.handler_types)
-      if (handler_matches(h, type)) return false;
-  }
-  return true;
-}
 
 void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
                     std::vector<std::string> targets, bool target_unknown,
@@ -767,12 +532,11 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
   // leave the function is no injection-ordering constraint for callers.
   // The decision uses the original position — loop widening never moves an
   // event across the braces of a try block that contains the loop.
-  if (thr && cs() && !throw_escapes(pos, throw_hint_)) thr = false;
+  if (thr && !body_.escapes(pos, throw_hint_)) thr = false;
   if (mut) {
     Event ev;
-    ev.pos = pos < loop_start_.size() && loop_start_[pos] != npos
-                 ? loop_start_[pos]
-                 : pos;
+    const auto* loop = body_.loop_at(pos);
+    ev.pos = loop != nullptr ? loop->first : pos;
     ev.mut = true;
     ev.via_param = via_param;
     ev.targets = std::move(targets);
@@ -782,8 +546,8 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
   }
   if (thr) {
     Event ev;
-    ev.pos =
-        pos < loop_end_.size() && loop_end_[pos] != npos ? loop_end_[pos] : pos;
+    const auto* loop = body_.loop_at(pos);
+    ev.pos = loop != nullptr ? loop->second : pos;
     ev.thr = true;
     events.push_back(std::move(ev));
   }
@@ -792,8 +556,8 @@ void BodyScan::emit(std::size_t pos, bool mut, bool thr, bool via_param,
 void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
                                  const FnSummary& s) {
   if (!s.mutates_params) return;
-  if (cs() && !s.param_positions_unknown && !s.write_param_positions.empty()) {
-    const auto args = split_args(i + 1, close);
+  if (!s.param_positions_unknown && !s.write_param_positions.empty()) {
+    const auto args = body_.split_args(i + 1, close);
     bool in_range = true;
     for (std::size_t p : s.write_param_positions)
       if (p >= args.size()) in_range = false;
@@ -819,13 +583,7 @@ void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
 }
 
 void BodyScan::tracked_args_mut(std::size_t i, std::size_t close) {
-  if (!cs()) {
-    const auto [args_tracked, args_param_only] = expr_state(i + 2, close);
-    if (args_tracked)
-      emit_mut(i, args_param_only ? Kind::TrackedParam : Kind::Env);
-    return;
-  }
-  for (const auto& [b, e] : split_args(i + 1, close)) {
+  for (const auto& [b, e] : body_.split_args(i + 1, close)) {
     const auto [arg_tracked, arg_param_only] = expr_state(b, e);
     if (!arg_tracked) continue;
     auto [tnames, tvalid] = arg_target(b, e);
@@ -837,7 +595,7 @@ void BodyScan::tracked_args_mut(std::size_t i, std::size_t close) {
 
 bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
                                 FnSummary* out) const {
-  if (!cs() || recv.recv_name.empty() || recv.recv_starred) return false;
+  if (recv.recv_name.empty() || recv.recv_starred) return false;
   auto ft = ctx_.model->declared_types.find(recv.recv_name);
   if (ft == ctx_.model->declared_types.end()) return false;
   const std::string& type = ft->second;
@@ -866,18 +624,7 @@ bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
       // method means the real callee may be unscanned: no narrowing.
       if (s == nullptr) return false;
       any = true;
-      merged.mutates_env |= s->mutates_env;
-      merged.mutates_params |= s->mutates_params;
-      merged.may_throw |= s->may_throw;
-      merged.catches |= s->catches;
-      merged.writes_unknown |= s->writes_unknown;
-      merged.param_writes_unknown |= s->param_writes_unknown;
-      merged.param_positions_unknown |= s->param_positions_unknown;
-      merged.writes.insert(s->writes.begin(), s->writes.end());
-      merged.param_writes.insert(s->param_writes.begin(),
-                                 s->param_writes.end());
-      merged.write_param_positions.insert(s->write_param_positions.begin(),
-                                          s->write_param_positions.end());
+      join(merged, *s);
     }
   }
   if (!any) return false;
@@ -889,18 +636,14 @@ bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
 void BodyScan::handle_call(std::size_t i) {
   const std::string& name = tk(i);
   const std::string prev = i > 0 ? tk(i - 1) : "";
-  const std::size_t close = match_fwd(i + 1, "(", ")");
+  const std::size_t close = body_.close(i + 1);
   const auto [args_tracked, args_param_only] = expr_state(i + 2, close);
 
   if (name.rfind("FAT_", 0) == 0) return;
 
   if (prev == "::") {
     // Qualified call: either the standard library or a scanned namespace.
-    std::string leading;
-    for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i) - 1;
-         j >= 1 && tk(static_cast<std::size_t>(j)) == "::"; j -= 2)
-      leading = tk(static_cast<std::size_t>(j) - 1);
-    if (leading == "std") {
+    if (body_.leading_qualifier(i) == "std") {
       if (name == "move" || name == "forward") {
         // Move-steal: the argument's guts are gone afterwards — a write to
         // exactly the moved-from chain.
@@ -945,7 +688,7 @@ void BodyScan::handle_call(std::size_t i) {
         // mis-resolve to it.  Library treatment: mutation only.  The write
         // lands inside the named member (`head_.reset()` rewrites head_).
         if (recv_tracked) {
-          if (cs() && recv.base == Kind::TrackedLocal)
+          if (recv.base == Kind::TrackedLocal)
             emit_write(i, recv);
           else
             emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
@@ -1000,7 +743,7 @@ void BodyScan::handle_call(std::size_t i) {
     // no injection point inside.  The mutation stays within the receiver
     // chain's final member (`root_->children.push_back(x)` writes children).
     if (recv_tracked) {
-      if (cs() && recv.base == Kind::TrackedLocal)
+      if (recv.base == Kind::TrackedLocal)
         emit_write(i, recv);
       else
         emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
@@ -1015,7 +758,7 @@ void BodyScan::handle_call(std::size_t i) {
     // class's member when one exists — its exact by-key summary beats the
     // by-name union over every class sharing the (instrumented) name.
     const FnSummary* s = nullptr;
-    if (cs() && !def_.class_name.empty())
+    if (!def_.class_name.empty())
       s = lookup_key(def_.class_name + "::" + name);
     if (s == nullptr) s = lookup_name(name);
     if (s != nullptr && s->mutates_env)
@@ -1049,107 +792,30 @@ void BodyScan::handle_call(std::size_t i) {
 /// success registers the names and leaves `next` at the initializer (so the
 /// linear scan still sees calls inside it) or after the declarator.
 bool BodyScan::try_decl(std::size_t i, std::size_t& next) {
-  std::size_t j = i;
-  bool saw_const = false;
-  while (tk(j) == "const" || tk(j) == "static" || tk(j) == "constexpr") {
-    if (tk(j) == "const") saw_const = true;
-    ++j;
-  }
-  bool is_auto = false;
-  if (tk(j) == "auto") {
-    is_auto = true;
-    ++j;
-  } else {
-    const std::string& first = tk(j);
-    if (!is_ident(first) || is_number(first)) return false;
-    if (keywords().count(first) && !builtin_types().count(first)) return false;
-    if (builtin_types().count(first)) {
-      while (builtin_types().count(tk(j))) ++j;
-    } else {
-      ++j;
-      while (tk(j) == "::" && is_ident(tk(j + 1))) j += 2;
-    }
-    if (tk(j) == "<") {  // template arguments; `>>` closes two levels
-      int depth = 0;
-      bool closed = false;
-      for (; j < body_.size(); ++j) {
-        const std::string& t = tk(j);
-        if (t == "<") ++depth;
-        else if (t == ">") {
-          if (--depth == 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ">>") {
-          depth -= 2;
-          if (depth <= 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ";" || t == "{" || t == "}") {
-          return false;
-        }
-      }
-      if (!closed) return false;
-    }
-  }
-  bool is_ptr = false, is_ref = false;
-  while (tk(j) == "*" || tk(j) == "&" || tk(j) == "&&" || tk(j) == "const") {
-    if (tk(j) == "*") is_ptr = true;
-    else if (tk(j) == "const") saw_const = true;
-    else is_ref = true;
-    ++j;
-  }
-
-  if (is_auto && tk(j) == "[") {  // structured binding
-    std::vector<std::string> names;
-    for (++j; j < body_.size() && tk(j) != "]"; ++j)
-      if (is_ident(tk(j))) names.push_back(tk(j));
-    if (tk(j) != "]") return false;
-    ++j;
-    if (tk(j) != "=" && tk(j) != ":") return false;
-    const bool track = is_ref && !saw_const;
-    for (const std::string& n : names) locals_[n] = Var{track, !is_ref, is_ref};
-    next = j + 1;
+  const std::optional<Declaration> d = body_.declaration_at(i);
+  if (!d) return false;
+  const bool is_eq = tk(d->after) == "=";
+  if (d->structured) {
+    const bool track = d->is_ref && !d->is_const;
+    for (const std::string& n : d->names)
+      locals_[n] = Var{track, !d->is_ref, d->is_ref};
+    next = d->after + 1;
     return true;
   }
-
-  const std::string& name = tk(j);
-  if (!is_ident(name) || is_number(name) || keywords().count(name))
-    return false;
-  const std::string& after = tk(j + 1);
-  if (after != "=" && after != ";" && after != "," && after != ":" &&
-      after != "(" && after != "{" && after != ")")
-    return false;
-
   bool track;
   bool value_type = false;
-  if (is_ref) {
-    track = !saw_const;  // non-const alias: writes hit the aliased object
-  } else if (is_ptr || is_auto) {
-    const std::size_t b = after == "=" ? j + 2 : j + 1;
-    std::size_t e = b;
-    if (after == "=") {
-      int depth = 0;
-      for (e = b; e < body_.size(); ++e) {
-        const std::string& t = tk(e);
-        if (t == "(" || t == "[" || t == "{") ++depth;
-        else if (t == ")" || t == "]" || t == "}") {
-          if (--depth < 0) break;
-        } else if ((t == ";" || t == ",") && depth == 0) {
-          break;
-        }
-      }
-    }
-    track = !expr_fresh(b, e);
+  if (d->is_ref) {
+    track = !d->is_const;  // non-const alias: writes hit the aliased object
+  } else if (d->is_ptr || d->is_auto) {
+    // Only an `=` initializer decides freshness; `p(x)` / `p : range`
+    // declare fresh storage as far as this pass is concerned.
+    track = is_eq && !expr_fresh(d->init_b, d->init_e);
   } else {
     track = false;
     value_type = true;
   }
-  locals_[name] = Var{track, value_type, is_ref};
-  next = after == "=" ? j + 2 : j + 1;
+  locals_[d->names.front()] = Var{track, value_type, d->is_ref};
+  next = is_eq ? d->after + 1 : d->after;
   return true;
 }
 
@@ -1159,23 +825,23 @@ bool BodyScan::try_decl(std::size_t i, std::size_t& next) {
 /// stay unregistered: writing through them aliases caller state, and the
 /// conservative Env classification is the sound one.
 bool BodyScan::try_lambda(std::size_t i, std::size_t& next) {
-  if (!cs() || tk(i) != "[") return false;
+  if (tk(i) != "[") return false;
   const std::string prevt = i > 0 ? tk(i - 1) : ";";
   // Expression position only: after an identifier, `)`, or `]` the bracket
   // is an index, not a lambda introducer.
   if (is_ident(prevt) || is_number(prevt) || prevt == ")" || prevt == "]")
     return false;
-  const std::size_t cb = match_fwd(i, "[", "]");
+  const std::size_t cb = body_.close(i);
   if (cb >= body_.size() || tk(cb + 1) != "(") return false;
-  const std::size_t pc = match_fwd(cb + 1, "(", ")");
+  const std::size_t pc = body_.close(cb + 1);
   if (pc >= body_.size()) return false;
-  for (const auto& [b, e] : split_args(cb + 1, pc)) {
+  for (const auto& [b, e] : body_.split_args(cb + 1, pc)) {
     bool by_ref = false;
     std::string last_ident;
     for (std::size_t k = b; k < e; ++k) {
       const std::string& t = tk(k);
       if (t == "&" || t == "&&" || t == "*") by_ref = true;
-      if (is_ident(t) && !keywords().count(t) && !is_number(t)) last_ident = t;
+      if (is_name(t)) last_ident = t;
     }
     if (!by_ref && !last_ident.empty())
       locals_[last_ident] = Var{false, true};
@@ -1214,19 +880,10 @@ void BodyScan::run() {
       // is a visible constructor call, its type name lets typed catch
       // handlers of enclosing try blocks stop the propagation; a bare
       // `throw;` or a rethrown variable keeps the unknown type.
-      std::size_t j = i + 1;
-      if (is_ident(tk(j)) && !keywords().count(tk(j))) {
-        std::string last = tk(j);
-        ++j;
-        while (tk(j) == "::" && is_ident(tk(j + 1))) {
-          last = tk(j + 1);
-          j += 2;
-        }
-        if (tk(j) == "(" || tk(j) == "{") throw_hint_ = last;
-      }
+      throw_hint_ = body_.throw_at(i)->type;
       emit(i, false, true, false);
       throw_hint_.clear();
-      i = stmt_end(i) + 1;
+      i = body_.stmt_end(i) + 1;
       stmt_start = true;
       continue;
     }
@@ -1241,8 +898,7 @@ void BodyScan::run() {
                                       : i + 1);
       // The named pointer's graph is destroyed — a structural write to the
       // member holding it (its pointer type keeps it out of partial plans).
-      if (cs() && (c.base == Kind::TrackedLocal ||
-                   (c.base == Kind::Fresh && c.hops > 1)))
+      if (c.base == Kind::TrackedLocal || (c.base == Kind::Fresh && c.hops > 1))
         emit_write(i, c);
       else if (tracked(c.base))
         emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
@@ -1258,7 +914,7 @@ void BodyScan::run() {
       }
     }
     stmt_start = false;
-    if (is_ident(t) && !keywords().count(t) && !is_number(t)) {
+    if (is_name(t)) {
       if (tk(i + 1) == "(") handle_call(i);
       ++i;
       continue;
@@ -1271,16 +927,15 @@ void BodyScan::run() {
         // Fresh bases drop too — but only within the object's own slots: a
         // second member hop re-enters whatever the frame stashed there
         // (emit_write applies the same hop rule to tracked locals).
-        if (cs() && (c.base == Kind::TrackedLocal ||
-                     (c.base == Kind::Fresh && c.hops > 1)))
+        if (c.base == Kind::TrackedLocal ||
+            (c.base == Kind::Fresh && c.hops > 1))
           emit_write(i, c);
         else if (tracked(c.base))
           emit_mut(i, c.base, c.recv_name, !c.recv_starred,
                    chain_positions(c));
       } else if (c.base == Kind::Env || c.base == Kind::TrackedParam) {
         emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
-      } else if (cs() && c.base == Kind::TrackedLocal &&
-                 local_is_ref(c.base_name)) {
+      } else if (c.base == Kind::TrackedLocal && local_is_ref(c.base_name)) {
         // Assignment through a reference binding writes the aliased object
         // (it never rebinds) — historically a silent hole.
         emit_write(i, c);
@@ -1292,7 +947,7 @@ void BodyScan::run() {
         if (j >= 0) {
           auto it = locals_.find(tk(static_cast<std::size_t>(j)));
           if (it != locals_.end() && !it->second.value_type)
-            it->second.tracked = !expr_fresh(i + 1, stmt_end(i));
+            it->second.tracked = !expr_fresh(i + 1, body_.stmt_end(i));
         }
       }
       ++i;
@@ -1303,9 +958,9 @@ void BodyScan::run() {
       const Chain c = (is_ident(nxt) || nxt == "(" || nxt == "*")
                           ? chain_after(i + 1)
                           : chain_before(i);
-      if (cs() && ((c.base == Kind::TrackedLocal &&
-                    (c.deref || local_is_ref(c.base_name))) ||
-                   (c.base == Kind::Fresh && c.deref && c.hops > 1)))
+      if ((c.base == Kind::TrackedLocal &&
+           (c.deref || local_is_ref(c.base_name))) ||
+          (c.base == Kind::Fresh && c.deref && c.hops > 1))
         emit_write(i, c);
       else if (c.deref ? tracked(c.base)
                        : (c.base == Kind::Env || c.base == Kind::TrackedParam))
@@ -1319,8 +974,7 @@ void BodyScan::run() {
       // Stream insertion/extraction mutates its left operand (shifts on
       // literals and untracked values resolve to Kind::None/Fresh).
       const Chain c = chain_before(i);
-      if (cs() && (c.base == Kind::TrackedLocal ||
-                   (c.base == Kind::Fresh && c.hops > 1)))
+      if (c.base == Kind::TrackedLocal || (c.base == Kind::Fresh && c.hops > 1))
         emit_write(i, c);
       else if (c.base == Kind::Env || c.base == Kind::TrackedParam ||
                c.base == Kind::TrackedLocal)
@@ -1330,29 +984,6 @@ void BodyScan::run() {
     }
     ++i;
   }
-}
-
-/// Extracted FAT_INVOKE lambda body of an instrumented wrapper, or the whole
-/// body when no invoke macro is present (plain helpers).
-Tokens effective_body(const FunctionDef& def, bool* instrumented_macro) {
-  *instrumented_macro = false;
-  for (std::size_t i = 0; i < def.body.size(); ++i) {
-    if (def.body[i].text.rfind("FAT_INVOKE", 0) != 0) continue;
-    for (std::size_t j = i + 1; j < def.body.size(); ++j) {
-      if (def.body[j].text != "{") continue;
-      int depth = 0;
-      for (std::size_t k = j; k < def.body.size(); ++k) {
-        if (def.body[k].text == "{") ++depth;
-        else if (def.body[k].text == "}" && --depth == 0) {
-          *instrumented_macro = true;
-          return Tokens(def.body.begin() + static_cast<std::ptrdiff_t>(j) + 1,
-                        def.body.begin() + static_cast<std::ptrdiff_t>(k));
-        }
-      }
-      return def.body;
-    }
-  }
-  return def.body;
 }
 
 /// Matches a definition's (namespace-qualified) class name to a ClassModel
@@ -1373,34 +1004,21 @@ const ClassModel* class_of(const SourceModel& model, const std::string& cls) {
   return nullptr;
 }
 
-std::string simple_of(const std::string& qualified) {
-  const std::size_t sep = qualified.rfind("::");
-  return sep == std::string::npos ? qualified : qualified.substr(sep + 2);
-}
-
 }  // namespace
 
+EffectAnalysis analyze_effects(const SourceModel& model) {
+  return analyze_effects(model, index_definitions(model));
+}
+
 EffectAnalysis analyze_effects(const SourceModel& model,
-                               const AnalyzeOptions& opts) {
-  struct Scanned {
-    const FunctionDef* def;
-    Tokens body;  ///< effective body (invoke lambda for instrumented defs)
-    std::string key;
-    bool instrumented = false;
-  };
-  std::vector<Scanned> defs;
-  for (const FunctionDef& def : model.functions) {
-    Scanned s;
-    s.def = &def;
-    bool has_invoke = false;
-    s.body = effective_body(def, &has_invoke);
-    const ClassModel* cm = class_of(model, def.class_name);
-    s.instrumented = has_invoke ||
-                     (cm != nullptr && (cm->instrumented.count(def.name) ||
-                                        cm->statics.count(def.name)));
-    s.key = def.class_name.empty() ? def.name
-                                   : def.class_name + "::" + def.name;
-    defs.push_back(std::move(s));
+                               const std::vector<IndexedDef>& defs) {
+  std::vector<bool> instrumented;
+  for (const IndexedDef& d : defs) {
+    const ClassModel* cm = class_of(model, d.def->class_name);
+    instrumented.push_back(d.lambda.has_value() ||
+                           (cm != nullptr &&
+                            (cm->instrumented.count(d.def->name) ||
+                             cm->statics.count(d.def->name))));
   }
 
   // Receiver-typed resolution inputs: which qualified classes own scanned
@@ -1408,10 +1026,10 @@ EffectAnalysis analyze_effects(const SourceModel& model,
   // dispatch risk (FAT_POLY registration or either side of an inheritance
   // edge) — narrowing through those could miss an unscanned override.
   std::map<std::string, std::set<std::string>> def_classes_by_simple;
-  for (const Scanned& s : defs)
-    if (!s.def->class_name.empty())
-      def_classes_by_simple[simple_of(s.def->class_name)].insert(
-          s.def->class_name);
+  for (const IndexedDef& d : defs)
+    if (!d.def->class_name.empty())
+      def_classes_by_simple[simple_of(d.def->class_name)].insert(
+          d.def->class_name);
   std::set<std::string> dispatch_risky;
   for (const std::string& q : model.poly_classes)
     dispatch_risky.insert(simple_of(q));
@@ -1426,24 +1044,19 @@ EffectAnalysis analyze_effects(const SourceModel& model,
   // Pass 5 alias bindings are computed once up front: the alias fixpoint
   // depends only on the token model, not on the effect summaries, so it
   // feeds every effect round without participating in this fixpoint.
-  AliasAnalysis aliases;
-  if (opts.context_sensitive) aliases = analyze_aliases(model);
+  const AliasAnalysis aliases = analyze_aliases(model, defs);
   std::map<std::string, FnSummary> by_key, by_name;
-  Ctx ctx{&model,          &opts,
-          &by_key,         &by_name,
-          &def_classes_by_simple, &dispatch_risky,
-          opts.context_sensitive ? &aliases : nullptr};
+  Ctx ctx{&model,          &by_key,
+          &by_name,        &def_classes_by_simple,
+          &dispatch_risky, &aliases};
   // Seed every scanned definition with the bottom (empty) summary so round
   // 0 lookups of not-yet-visited keys — self-recursion, forward references
   // — resolve to "no effects yet" instead of falling into the unknown-call
   // fallback, whose conservative event would stick forever through the
-  // monotone merge.  This is the textbook least-fixpoint start; the
-  // context-insensitive mode keeps the historical behaviour.
-  if (opts.context_sensitive) {
-    for (const Scanned& s : defs) {
-      by_key[s.key];
-      by_name[s.def->name];
-    }
+  // monotone merge.  This is the textbook least-fixpoint start.
+  for (const IndexedDef& d : defs) {
+    by_key[d.key];
+    by_name[d.def->name];
   }
   // The cap is a backstop: iteration normally breaks on !changed within a
   // handful of rounds (the call DAG's SCC depth).  It is generous because
@@ -1451,25 +1064,10 @@ EffectAnalysis analyze_effects(const SourceModel& model,
   // sound — stopping early would under-approximate.
   for (int round = 0; round < 50; ++round) {
     bool changed = false;
-    for (const Scanned& s : defs) {
-      BodyScan scan(s.body, *s.def, ctx);
+    for (std::size_t n = 0; n < defs.size(); ++n) {
+      const IndexedDef& d = defs[n];
+      BodyScan scan(d, ctx);
       scan.run();
-      if (const char* want = std::getenv("FATOMIC_ANALYZE_DEBUG_HELPER");
-          want != nullptr && round == 0 &&
-          s.key.find(want) != std::string::npos) {
-        std::fprintf(stderr, "== helper %s (%s)\n", s.key.c_str(),
-                     s.def->file.c_str());
-        for (const Event& ev : scan.events) {
-          std::string around;
-          for (std::size_t m = ev.pos; m < ev.pos + 8 && m < s.body.size();
-               ++m)
-            around += s.body[m].text + " ";
-          std::fprintf(stderr,
-                       "  pos=%zu mut=%d thr=%d via_param=%d unk=%d | %s\n",
-                       ev.pos, ev.mut, ev.thr, ev.via_param, ev.target_unknown,
-                       around.c_str());
-        }
-      }
       FnSummary next;
       for (const Event& ev : scan.events) {
         if (ev.mut && ev.via_param) {
@@ -1489,52 +1087,16 @@ EffectAnalysis analyze_effects(const SourceModel& model,
         }
         if (ev.thr) next.may_throw = true;
       }
-      next.may_throw |= s.instrumented;  // injection point at wrapper entry
+      next.may_throw |= instrumented[n];  // injection point at wrapper entry
       next.catches = scan.catches;
-      FnSummary& cur = by_key[s.key];
+      FnSummary& cur = by_key[d.key];
       FnSummary merged = cur;
-      merged.mutates_env |= next.mutates_env;
-      merged.mutates_params |= next.mutates_params;
-      merged.may_throw |= next.may_throw;
-      merged.catches |= next.catches;
-      merged.writes_unknown |= next.writes_unknown;
-      merged.param_writes_unknown |= next.param_writes_unknown;
-      merged.param_positions_unknown |= next.param_positions_unknown;
-      merged.writes.insert(next.writes.begin(), next.writes.end());
-      merged.param_writes.insert(next.param_writes.begin(),
-                                 next.param_writes.end());
-      merged.write_param_positions.insert(next.write_param_positions.begin(),
-                                          next.write_param_positions.end());
-      if (merged.mutates_env != cur.mutates_env ||
-          merged.mutates_params != cur.mutates_params ||
-          merged.may_throw != cur.may_throw ||
-          merged.catches != cur.catches ||
-          merged.writes_unknown != cur.writes_unknown ||
-          merged.param_writes_unknown != cur.param_writes_unknown ||
-          merged.param_positions_unknown != cur.param_positions_unknown ||
-          merged.writes != cur.writes ||
-          merged.param_writes != cur.param_writes ||
-          merged.write_param_positions != cur.write_param_positions)
-        changed = true;
-      cur = merged;
+      join(merged, next);
+      if (!(merged == cur)) changed = true;
+      cur = std::move(merged);
     }
     by_name.clear();
-    for (const Scanned& s : defs) {
-      const FnSummary& src = by_key[s.key];
-      FnSummary& dst = by_name[s.def->name];
-      dst.mutates_env |= src.mutates_env;
-      dst.mutates_params |= src.mutates_params;
-      dst.may_throw |= src.may_throw;
-      dst.catches |= src.catches;
-      dst.writes_unknown |= src.writes_unknown;
-      dst.param_writes_unknown |= src.param_writes_unknown;
-      dst.param_positions_unknown |= src.param_positions_unknown;
-      dst.writes.insert(src.writes.begin(), src.writes.end());
-      dst.param_writes.insert(src.param_writes.begin(),
-                              src.param_writes.end());
-      dst.write_param_positions.insert(src.write_param_positions.begin(),
-                                       src.write_param_positions.end());
-    }
+    for (const IndexedDef& d : defs) join(by_name[d.def->name], by_key[d.key]);
     if (!changed) break;
   }
 
@@ -1554,10 +1116,10 @@ EffectAnalysis analyze_effects(const SourceModel& model,
           if (have == r) return;
         es.write_top_reasons.push_back(r);
       };
-      for (const Scanned& s : defs) {
-        if (s.def->name != method) continue;
-        if (class_of(model, s.def->class_name) != &cm) continue;
-        BodyScan scan(s.body, *s.def, ctx);
+      for (const IndexedDef& d : defs) {
+        if (d.def->name != method) continue;
+        if (class_of(model, d.def->class_name) != &cm) continue;
+        BodyScan scan(d, ctx);
         scan.run();
         es.scanned = true;
         es.catches = scan.catches;
@@ -1573,23 +1135,6 @@ EffectAnalysis analyze_effects(const SourceModel& model,
             last_thr = std::max(last_thr, ev.pos);
           }
         }
-        if (std::getenv("FATOMIC_ANALYZE_DEBUG") != nullptr) {
-          std::fprintf(stderr, "== %s (%s)\n", es.qualified_name.c_str(),
-                       s.def->file.c_str());
-          for (const Event& ev : scan.events) {
-            std::string targets;
-            for (const auto& t : ev.targets) targets += t + ",";
-            std::string around;
-            for (std::size_t m = ev.pos; m < ev.pos + 6 && m < s.body.size();
-                 ++m)
-              around += s.body[m].text + " ";
-            std::fprintf(stderr,
-                         "  pos=%zu mut=%d thr=%d via_param=%d unk=%d "
-                         "targets=[%s] | %s\n",
-                         ev.pos, ev.mut, ev.thr, ev.via_param,
-                         ev.target_unknown, targets.c_str(), around.c_str());
-          }
-        }
         es.read_only = es.mutation_events == 0;
         es.commit_point_last = es.mutation_events == 0 ||
                                es.throw_events == 0 || last_thr < first_mut;
@@ -1597,8 +1142,7 @@ EffectAnalysis analyze_effects(const SourceModel& model,
         // back only when some injection point can still fire at or after it
         // (pos <= last_thr; equality covers a single call that both mutates
         // and throws).
-        const FnAliasInfo* ai =
-            opts.context_sensitive ? aliases.find(s.key) : nullptr;
+        const FnAliasInfo& ai = *aliases.find(d.key);
         if (es.throw_events > 0) {
           for (const Event& ev : scan.events) {
             if (!ev.mut || ev.pos > last_thr) continue;
@@ -1608,10 +1152,9 @@ EffectAnalysis analyze_effects(const SourceModel& model,
               // tuple: when every position is tied and the targets are
               // named, the write is restorable like any member write.
               const bool tied =
-                  ai != nullptr && !ev.target_unknown &&
-                  !ev.via_positions.empty() &&
-                  std::includes(ai->tied_positions.begin(),
-                                ai->tied_positions.end(),
+                  !ev.target_unknown && !ev.via_positions.empty() &&
+                  std::includes(ai.tied_positions.begin(),
+                                ai.tied_positions.end(),
                                 ev.via_positions.begin(),
                                 ev.via_positions.end());
               if (tied)
@@ -1626,38 +1169,29 @@ EffectAnalysis analyze_effects(const SourceModel& model,
           }
         }
         // A receiver escaping via `this` can be written through aliases the
-        // event scan never sees.  With the alias pass available, the
-        // per-token classification decides; `this` passed only into sinks
-        // the interprocedural summaries prove side-effect-free does not
-        // escape.  Without it, any `this` token collapses (historical).
-        if (ai != nullptr) {
-          bool escapes = ai->this_top;
-          for (const std::string& sink : ai->this_sinks) {
-            if (escapes) break;
-            const FnSummary* fs = nullptr;
-            if (!s.def->class_name.empty()) {
-              auto it = by_key.find(s.def->class_name + "::" + sink);
-              if (it != by_key.end()) fs = &it->second;
-            }
-            if (fs == nullptr) {
-              auto it = by_key.find(sink);
-              if (it != by_key.end()) fs = &it->second;
-            }
-            if (fs == nullptr) {
-              auto it = by_name.find(sink);
-              if (it != by_name.end()) fs = &it->second;
-            }
-            if (fs == nullptr || fs->mutates_env || fs->mutates_params)
-              escapes = true;
+        // event scan never sees.  The alias pass's per-token classification
+        // decides; `this` passed only into sinks the interprocedural
+        // summaries prove side-effect-free does not escape.
+        bool escapes = ai.this_top;
+        for (const std::string& sink : ai.this_sinks) {
+          if (escapes) break;
+          const FnSummary* fs = nullptr;
+          if (!d.def->class_name.empty()) {
+            auto it = by_key.find(d.def->class_name + "::" + sink);
+            if (it != by_key.end()) fs = &it->second;
           }
-          if (escapes) add_reason("receiver escapes via this");
-        } else {
-          for (const Token& tok : s.body) {
-            if (tok.text != "this") continue;
-            add_reason("receiver escapes via this");
-            break;
+          if (fs == nullptr) {
+            auto it = by_key.find(sink);
+            if (it != by_key.end()) fs = &it->second;
           }
+          if (fs == nullptr) {
+            auto it = by_name.find(sink);
+            if (it != by_name.end()) fs = &it->second;
+          }
+          if (fs == nullptr || fs->mutates_env || fs->mutates_params)
+            escapes = true;
         }
+        if (escapes) add_reason("receiver escapes via this");
         break;
       }
       out.methods[es.qualified_name] = std::move(es);

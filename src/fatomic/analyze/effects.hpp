@@ -29,20 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "fatomic/analyze/body.hpp"
 #include "fatomic/analyze/source_model.hpp"
 
 namespace fatomic::analyze {
-
-/// Tunables for the effect pass.  `context_sensitive` switches on the
-/// Pass 4 precision features (per-parameter-position write tracking,
-/// receiver-typed and same-class call resolution, catch-clause-aware throw
-/// suppression, lambda-parameter registration, named move-steal targets);
-/// with it off the pass reproduces the context-insensitive pre-Pass-4
-/// behaviour, which bench_prune uses to split "provable before Pass 4"
-/// from "newly provable".
-struct AnalyzeOptions {
-  bool context_sensitive = true;
-};
 
 /// Interprocedural facts about one function, used when resolving calls to
 /// it.  Computed for every scanned definition (instrumented or not) by an
@@ -74,6 +64,8 @@ struct FnSummary {
   /// Meaningful only while `!param_positions_unknown`.
   std::set<std::size_t> write_param_positions;
   bool param_positions_unknown = false;
+
+  bool operator==(const FnSummary&) const = default;
 };
 
 /// The static verdict for one instrumented method.
@@ -127,8 +119,12 @@ struct EffectAnalysis {
   }
 };
 
-/// Runs the effect analysis over a scanned source model.
+/// Runs the effect analysis over a scanned source model, reading each
+/// instrumented wrapper's FAT_INVOKE lambda body.  The Pass 5 alias
+/// bindings it consumes are computed from the same indexed definitions.
 EffectAnalysis analyze_effects(const SourceModel& model,
-                               const AnalyzeOptions& opts = {});
+                               const std::vector<IndexedDef>& defs);
+/// Same, indexing the model's definitions first.
+EffectAnalysis analyze_effects(const SourceModel& model);
 
 }  // namespace fatomic::analyze

@@ -7,32 +7,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fatomic/analyze/body.hpp"
+
 namespace fatomic::analyze {
 
 namespace {
 
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool is_ident(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                        t[0] == '_');
-}
-
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
-      "if",     "else",  "for",    "while",  "do",      "switch", "case",
-      "return", "break", "continue", "throw", "try",    "catch",  "new",
-      "delete", "const", "static", "class",  "struct",  "enum",   "union",
-      "public", "private", "protected", "namespace", "using", "template",
-      "typename", "operator", "sizeof", "true", "false", "nullptr", "this",
-      "auto", "void", "int", "bool", "char", "unsigned", "signed", "long",
-      "short", "float", "double", "noexcept", "override", "final", "virtual",
-      "explicit", "inline", "constexpr", "mutable", "friend", "default",
-      "goto", "extern", "typedef",
-  };
-  return kw;
 }
 
 }  // namespace
@@ -139,18 +121,6 @@ namespace {
 
 using Tokens = std::vector<Token>;
 
-/// Index of the matching close token for the open token at `i`, or
-/// tokens.size() when unbalanced.  open/close are single-token delimiters.
-std::size_t match_forward(const Tokens& t, std::size_t i, const char* open,
-                          const char* close) {
-  int depth = 0;
-  for (std::size_t k = i; k < t.size(); ++k) {
-    if (t[k].text == open) ++depth;
-    else if (t[k].text == close && --depth == 0) return k;
-  }
-  return t.size();
-}
-
 /// Joins identifier/"::" tokens starting at `i` into a qualified name;
 /// advances `i` past them.
 std::string read_qualified(const Tokens& t, std::size_t& i) {
@@ -163,7 +133,7 @@ std::string read_qualified(const Tokens& t, std::size_t& i) {
 }
 
 /// FAT_METHOD_INFO / FAT_STATIC_INFO / FAT_CTOR_INFO / FAT_REFLECT harvester.
-void harvest_macros(const Tokens& t, SourceModel& model) {
+void harvest_macros(const Tokens& t, const TokenView& v, SourceModel& model) {
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     const std::string& m = t[i].text;
     const bool method = m == "FAT_METHOD_INFO";
@@ -173,22 +143,18 @@ void harvest_macros(const Tokens& t, SourceModel& model) {
     const bool poly = m == "FAT_POLY";
     if (!(method || stat || ctor || reflect || poly) || t[i + 1].text != "(")
       continue;
-    const std::size_t close = match_forward(t, i + 1, "(", ")");
+    const std::size_t close = v.close(i + 1);
     if (close >= t.size()) continue;
     std::size_t k = i + 2;
     const std::string cls = read_qualified(t, k);
     if (cls.empty()) continue;
     if (poly) {
       // FAT_POLY(Base, Derived): both ends are polymorphic types.
-      auto simple = [](const std::string& q) {
-        const auto pos = q.rfind("::");
-        return pos == std::string::npos ? q : q.substr(pos + 2);
-      };
-      model.poly_classes.insert(simple(cls));
+      model.poly_classes.insert(simple_of(cls));
       if (k < close && t[k].text == ",") {
         ++k;
         const std::string derived = read_qualified(t, k);
-        if (!derived.empty()) model.poly_classes.insert(simple(derived));
+        if (!derived.empty()) model.poly_classes.insert(simple_of(derived));
       }
       i = close;
       continue;
@@ -232,25 +198,16 @@ void harvest_macros(const Tokens& t, SourceModel& model) {
 /// Collects names of inline const methods whose bodies are verifiably
 /// effect-free: `name(...) const { body }` where body contains no `throw`,
 /// no FAT_ macro, and no call to an instrumented method name.
-void harvest_clean_const(const Tokens& t, SourceModel& model) {
+void harvest_clean_const(const Tokens& t, const TokenView& v,
+                         SourceModel& model) {
   for (std::size_t i = 2; i + 1 < t.size(); ++i) {
     if (t[i].text != "const" || t[i - 1].text != ")") continue;
     if (t[i + 1].text != "{") continue;
-    // Match ')' back to its '('.
-    int depth = 0;
-    std::size_t open = t.size();
-    for (std::size_t k = i - 1;; --k) {
-      if (t[k].text == ")") ++depth;
-      else if (t[k].text == "(" && --depth == 0) {
-        open = k;
-        break;
-      }
-      if (k == 0) break;
-    }
-    if (open >= t.size() || open == 0) continue;
+    const std::size_t open = v.open_of(i - 1);
+    if (open == TokenView::npos || open == 0) continue;
     const std::string& name = t[open - 1].text;
     if (!is_ident(name) || keywords().count(name)) continue;
-    const std::size_t end = match_forward(t, i + 1, "{", "}");
+    const std::size_t end = v.close(i + 1);
     if (end >= t.size()) continue;
     bool clean = true;
     for (std::size_t k = i + 2; k < end; ++k) {
@@ -413,8 +370,8 @@ std::vector<Param> parse_params(const Tokens& t, std::size_t open,
 }
 
 /// Walks one .cpp token stream collecting out-of-line function definitions.
-void collect_definitions(const Tokens& t, const std::string& file,
-                         SourceModel& model) {
+void collect_definitions(const Tokens& t, const TokenView& v,
+                         const std::string& file, SourceModel& model) {
   std::vector<std::string> ns;  // namespace stack entries ("" = anonymous)
   std::size_t i = 0;
   while (i < t.size()) {
@@ -441,7 +398,7 @@ void collect_definitions(const Tokens& t, const std::string& file,
       std::size_t k = i + 1;
       while (k < t.size() && t[k].text != "{" && t[k].text != ";") ++k;
       if (k < t.size() && t[k].text == "{")
-        k = match_forward(t, k, "{", "}");
+        k = v.close(k);
       i = k + 1;
       continue;
     }
@@ -475,13 +432,13 @@ void collect_definitions(const Tokens& t, const std::string& file,
     if (paren >= t.size()) {
       if (k < t.size() && t[k].text == "{") {
         // Unrecognised brace at scope (e.g. an initializer) — skip it.
-        i = match_forward(t, k, "{", "}") + 1;
+        i = v.close(k) + 1;
       } else {
         i = k + 1;  // plain declaration/definition without parens
       }
       continue;
     }
-    const std::size_t close = match_forward(t, paren, "(", ")");
+    const std::size_t close = v.close(paren);
     if (close >= t.size()) {
       i = paren + 1;
       continue;
@@ -524,8 +481,7 @@ void collect_definitions(const Tokens& t, const std::string& file,
       while (p < t.size()) {
         (void)read_qualified(t, p);
         if (p < t.size() && (t[p].text == "(" || t[p].text == "{")) {
-          const bool par = t[p].text == "(";
-          p = match_forward(t, p, par ? "(" : "{", par ? ")" : "}") + 1;
+          p = v.close(p) + 1;
         } else {
           break;
         }
@@ -538,7 +494,7 @@ void collect_definitions(const Tokens& t, const std::string& file,
       after = p;
       // Constructors are never effect-analysis subjects; skip the body.
       if (after < t.size() && t[after].text == "{") {
-        i = match_forward(t, after, "{", "}") + 1;
+        i = v.close(after) + 1;
         continue;
       }
       i = after + 1;
@@ -548,7 +504,7 @@ void collect_definitions(const Tokens& t, const std::string& file,
       i = close + 1;  // declaration (or expression) — keep scanning after ')'
       continue;
     }
-    const std::size_t body_end = match_forward(t, after, "{", "}");
+    const std::size_t body_end = v.close(after);
     if (body_end >= t.size()) {
       i = after + 1;
       continue;
@@ -559,9 +515,9 @@ void collect_definitions(const Tokens& t, const std::string& file,
       while (p < t.size() && t[p].text == "catch") {
         std::size_t cp = p + 1;
         if (cp >= t.size() || t[cp].text != "(") break;
-        const std::size_t cc = match_forward(t, cp, "(", ")");
+        const std::size_t cc = v.close(cp);
         if (cc + 1 >= t.size() || t[cc + 1].text != "{") break;
-        const std::size_t cb = match_forward(t, cc + 1, "{", "}");
+        const std::size_t cb = v.close(cc + 1);
         if (cb >= t.size()) break;
         def_end = cb;
         p = cb + 1;
@@ -624,26 +580,36 @@ SourceModel scan_sources(const std::string& root) {
   for (const auto& p : sources)
     source_tokens.emplace_back(fs::relative(p, root).string(),
                                tokenize(slurp(p)));
+  // Bracket structure per file (the token vectors no longer change).
+  auto views = [](const std::vector<std::pair<std::string, Tokens>>& files) {
+    std::vector<TokenView> out;
+    for (const auto& file : files) out.emplace_back(file.second);
+    return out;
+  };
+  const std::vector<TokenView> header_views = views(header_tokens);
+  const std::vector<TokenView> source_views = views(source_tokens);
 
   // Macro metadata first (instrumented_names must be complete before the
   // clean-const harvest can veto accessors that call instrumented code).
-  for (const auto& [file, toks] : header_tokens) {
-    harvest_macros(toks, model);
-    model.files.push_back(file);
+  for (std::size_t f = 0; f < header_tokens.size(); ++f) {
+    harvest_macros(header_tokens[f].second, header_views[f], model);
+    model.files.push_back(header_tokens[f].first);
   }
-  for (const auto& [file, toks] : source_tokens) {
-    harvest_macros(toks, model);
-    model.files.push_back(file);
+  for (std::size_t f = 0; f < source_tokens.size(); ++f) {
+    harvest_macros(source_tokens[f].second, source_views[f], model);
+    model.files.push_back(source_tokens[f].first);
   }
-  for (const auto& [file, toks] : header_tokens) {
-    harvest_clean_const(toks, model);
+  for (std::size_t f = 0; f < header_tokens.size(); ++f) {
+    const Tokens& toks = header_tokens[f].second;
+    harvest_clean_const(toks, header_views[f], model);
     harvest_class_names(toks, model);
     harvest_declared_types(toks, model);
   }
-  for (const auto& [file, toks] : source_tokens) {
+  for (std::size_t f = 0; f < source_tokens.size(); ++f) {
+    const auto& [file, toks] = source_tokens[f];
     harvest_class_names(toks, model);
     harvest_declared_types(toks, model);
-    collect_definitions(toks, file, model);
+    collect_definitions(toks, source_views[f], file, model);
   }
   return model;
 }

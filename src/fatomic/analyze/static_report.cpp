@@ -2,6 +2,7 @@
 
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "fatomic/weave/runtime.hpp"
 
@@ -43,16 +44,16 @@ std::string StaticReport::to_text() const {
   return os.str();
 }
 
-StaticReport analyze_sources(const std::string& root,
-                             const AnalyzeOptions& opts) {
+StaticReport analyze_sources(const std::string& root) {
   StaticReport report;
   report.model = scan_sources(root);
-  report.effects = analyze_effects(report.model, opts);
+  const std::vector<IndexedDef> defs = index_definitions(report.model);
+  report.effects = analyze_effects(report.model, defs);
   report.write_sets = analyze_write_sets(report.model, report.effects);
   std::set<std::string> runtime_names;
   for (const auto& spec : weave::Runtime::instance().runtime_exceptions())
     runtime_names.insert(spec.type_name);
-  report.graph = build_static_call_graph(report.model, runtime_names);
+  report.graph = build_static_call_graph(report.model, defs, runtime_names);
   return report;
 }
 

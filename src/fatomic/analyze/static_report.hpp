@@ -40,12 +40,11 @@ struct StaticReport {
   std::string to_text() const;
 };
 
-/// Scans `root` (a subject source tree) and runs the effect, write-set and
-/// static-call-graph passes.  Throws std::runtime_error when root does not
-/// exist.  `opts` tunes the effect pass (bench_prune flips
-/// `context_sensitive` off to measure the Pass 4 delta).
-StaticReport analyze_sources(const std::string& root,
-                             const AnalyzeOptions& opts = {});
+/// Scans `root` (a subject source tree), indexes every definition once
+/// (analyze/body.hpp) and runs the effect (with its Pass 5 alias input),
+/// write-set and static-call-graph passes over that one index.  Throws
+/// std::runtime_error when root does not exist.
+StaticReport analyze_sources(const std::string& root);
 
 /// Result of running the same workload twice — one full campaign, one with
 /// static pruning — and comparing the classifications.
