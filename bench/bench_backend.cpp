@@ -1,5 +1,5 @@
-// Checkpoint backend bench: the arena flat-buffer backend must beat the
-// graph backend by >= 5x on checkpoint work (capture + compare) for the xml
+// Checkpoint engine bench: the arena flat-buffer engine must beat its
+// graph-walk oracle by >= 5x on checkpoint work (capture + compare) for the xml
 // and collections subject families, while classifying every campaign
 // bit-identically.  CI fails the job (exit 2) when either gate breaks.
 //

@@ -98,10 +98,10 @@ class JsonArray {
 };
 
 /// Run metadata stamped into every bench artifact: which build produced the
-/// numbers (git describe, baked in by bench/CMakeLists.txt), under which
-/// checkpoint backend they ran (the process default honours
-/// FATOMIC_CHECKPOINT_BACKEND), and the machine's parallelism — the three
-/// knobs that make two BENCH_*.json files incomparable when they differ.
+/// numbers (git describe, baked in by bench/CMakeLists.txt), which
+/// checkpoint representation the runtime uses by default, and the machine's
+/// parallelism — the three knobs that make two BENCH_*.json files
+/// incomparable when they differ.
 inline std::string bench_meta_json() {
   return JsonObject{}
       // Artifact schema counter, shared with campaign_json: bumped to 2 when

@@ -26,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "fatomic/analyze/static_report.hpp"
+#include "fatomic/config.hpp"
 #include "fatomic/mask/masker.hpp"
 #include "fatomic/report/json.hpp"
 
@@ -129,10 +130,9 @@ int main() {
     // exactly like the full-checkpoint mask, and the shadow validator must
     // see every partial restore reproduce the full-restore state.
     const auto full_cls = mask::verify_masked(app.program, wrap);
-    mask::VerifySettings opts;
-    opts.plans = plans;
-    opts.validate = true;
-    const auto partial_v = mask::verify_masked_full(app.program, wrap, {}, opts);
+    fatomic::Config cfg;
+    cfg.mask(wrap).checkpoint_plans(plans).validate_checkpoints(true);
+    const auto partial_v = mask::verify_masked_full(app.program, cfg);
     const bool equivalent =
         fatomic::report::classification_json(full_cls) ==
         fatomic::report::classification_json(partial_v.classification);

@@ -71,14 +71,14 @@ class Config {
     return *this;
   }
   /// Shadow every partial checkpoint with a full one and count rollback
-  /// divergences (stats.validator_divergences).  Under the arena backend
-  /// this also cross-checks arena captures/verdicts against the graph
-  /// backend.
+  /// divergences (stats.validator_divergences); also cross-checks arena
+  /// captures/verdicts against the graph oracle.
   Config& validate_checkpoints(bool on = true) {
     settings_.validate_checkpoints = on;
     return *this;
   }
-  /// Selects the full-checkpoint backend the wrappers use (DESIGN.md §10).
+  /// Graph runs the campaign on the graph-walk oracle instead of the arena
+  /// engine — for parity checks against it (DESIGN.md §10).
   Config& checkpoint_backend(snapshot::BackendKind kind) {
     settings_.backend = kind;
     return *this;

@@ -93,23 +93,6 @@ class ScopedPolicies {
   std::shared_ptr<const recovery::PolicyTable> saved_;
 };
 
-/// RAII: selects the full-checkpoint backend for the campaign and restores
-/// the runtime's previous selection after.  Workers inherit the selection
-/// through adopt_config().
-class ScopedBackend {
- public:
-  explicit ScopedBackend(snapshot::BackendKind kind)
-      : saved_(weave::Runtime::instance().checkpoint_backend) {
-    weave::Runtime::instance().checkpoint_backend = kind;
-  }
-  ~ScopedBackend() { weave::Runtime::instance().checkpoint_backend = saved_; }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  snapshot::BackendKind saved_;
-};
-
 /// RAII: puts the driving runtime's trace buffer into the state this
 /// campaign wants — armed with a fresh epoch for traced campaigns, disabled
 /// otherwise (so an untraced inner campaign stays invisible to an outer
@@ -323,20 +306,26 @@ Campaign Experiment::run() {
   ScopedPlans plans(opts_.masked ? opts_.checkpoint_plans : nullptr,
                     opts_.validate_checkpoints);
   ScopedPolicies policies(opts_.masked ? opts_.recovery_policies : nullptr);
-  ScopedBackend backend(opts_.backend);
   const weave::Mode mode =
       opts_.masked ? weave::Mode::InjectMask : weave::Mode::Inject;
 
-  struct DiffFlag {
-    bool saved = weave::Runtime::instance().record_diffs;
-    ~DiffFlag() { weave::Runtime::instance().record_diffs = saved; }
-  } diff_flag;
+  // The runtime mirrors these settings for the campaign's length (workers
+  // copy them through adopt_config); the driving runtime's own values come
+  // back after.
+  struct MirroredFlags {
+    weave::Runtime& rt;
+    bool diffs = rt.record_diffs;
+    bool footprints = rt.record_footprints;
+    snapshot::BackendKind backend = rt.checkpoint_backend;
+    ~MirroredFlags() {
+      rt.record_diffs = diffs;
+      rt.record_footprints = footprints;
+      rt.checkpoint_backend = backend;
+    }
+  } mirrored{rt};
   rt.record_diffs = opts_.record_diffs;
-  struct FootprintFlag {
-    bool saved = weave::Runtime::instance().record_footprints;
-    ~FootprintFlag() { weave::Runtime::instance().record_footprints = saved; }
-  } footprint_flag;
   rt.record_footprints = opts_.record_footprints;
+  rt.checkpoint_backend = opts_.backend;
 
   unsigned jobs = opts_.jobs != 0 ? opts_.jobs
                                   : std::max(1u, std::thread::hardware_concurrency());

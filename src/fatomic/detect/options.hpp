@@ -55,15 +55,14 @@ struct CampaignSettings {
   std::shared_ptr<const weave::PlanMap> checkpoint_plans;
 
   /// Completeness validator: shadow every partial checkpoint with a full
-  /// one and count rollback divergences (stats.validator_divergences).
-  /// Under the arena backend this additionally cross-checks every arena
-  /// capture and compare verdict against the graph backend.
+  /// one and count rollback divergences (stats.validator_divergences); also
+  /// cross-checks every arena capture and compare verdict against the graph
+  /// oracle.
   bool validate_checkpoints = false;
 
-  /// Full-checkpoint representation the wrappers use (DESIGN.md §10):
-  /// Graph = node-table walk + structural compare, Arena = flat-buffer slab
-  /// + memcmp compare.  Defaults to the process default, which honours the
-  /// FATOMIC_CHECKPOINT_BACKEND environment variable.
+  /// Full-checkpoint representation (DESIGN.md §10) — the one place this
+  /// choice is stored.  Arena, the engine, unless an oracle campaign asks
+  /// for Graph (node-table walk + structural compare) to check it against.
   snapshot::BackendKind backend = snapshot::default_backend();
 
   /// Static campaign pruning (analyze::StaticReport::prune_set feeds this):

@@ -62,7 +62,6 @@ MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap)
       saved_(weave::Runtime::instance().wrap_predicate()),
       saved_plans_(weave::Runtime::instance().checkpoint_plans()),
       saved_validate_(weave::Runtime::instance().validate_checkpoints),
-      saved_backend_(weave::Runtime::instance().checkpoint_backend),
       saved_policies_(weave::Runtime::instance().recovery_policies()) {
   auto& rt = weave::Runtime::instance();
   rt.set_wrap_predicate(std::move(wrap));
@@ -71,13 +70,12 @@ MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap)
 
 MaskedScope::MaskedScope(weave::Runtime::WrapPredicate wrap,
                          std::shared_ptr<const weave::PlanMap> plans,
-                         bool validate, snapshot::BackendKind backend,
+                         bool validate,
                          std::shared_ptr<const recovery::PolicyTable> policies)
     : MaskedScope(std::move(wrap)) {
   auto& rt = weave::Runtime::instance();
   rt.set_checkpoint_plans(std::move(plans));
   rt.validate_checkpoints = validate;
-  rt.checkpoint_backend = backend;
   if (policies != nullptr) rt.set_recovery_policies(std::move(policies));
 }
 
@@ -87,53 +85,38 @@ MaskedScope::~MaskedScope() {
   rt.set_wrap_predicate(std::move(saved_));
   rt.set_checkpoint_plans(std::move(saved_plans_));
   rt.validate_checkpoints = saved_validate_;
-  rt.checkpoint_backend = saved_backend_;
   rt.set_recovery_policies(std::move(saved_policies_));
 }
 
 MaskVerification verify_masked_full(std::function<void()> program,
-                                    weave::Runtime::WrapPredicate wrap,
-                                    const detect::Policy& policy,
-                                    const VerifySettings& options) {
-  detect::CampaignSettings opts;
-  opts.masked = true;
-  opts.wrap = std::move(wrap);
-  opts.jobs = options.jobs;
-  opts.checkpoint_plans = options.plans;
-  opts.validate_checkpoints = options.validate;
-  opts.trace = options.trace;
-  opts.backend = options.backend;
-  opts.recovery_policies = options.policies;
-  detect::Experiment exp(std::move(program), std::move(opts));
+                                    const fatomic::Config& config) {
+  // The verification campaign inherits the checkpointing, shape and
+  // observability settings only: it never prunes, records diffs or
+  // captures throw stacks.
+  const detect::CampaignSettings& s = config.campaign_settings();
+  detect::CampaignSettings settings;
+  settings.masked = true;
+  settings.wrap = s.wrap;
+  settings.checkpoint_plans = s.checkpoint_plans;
+  settings.validate_checkpoints = s.validate_checkpoints;
+  settings.jobs = s.jobs;
+  settings.trace = s.trace;
+  settings.backend = s.backend;
+  settings.recovery_policies = s.recovery_policies;
+  detect::Experiment exp(std::move(program), std::move(settings));
   MaskVerification out;
   out.campaign = exp.run();
-  out.classification = detect::classify(out.campaign, policy);
+  out.classification = detect::classify(out.campaign, config.policy());
   return out;
-}
-
-MaskVerification verify_masked_full(std::function<void()> program,
-                                    const fatomic::Config& config) {
-  const detect::CampaignSettings& s = config.campaign_settings();
-  VerifySettings options;
-  options.plans = s.checkpoint_plans;
-  options.validate = s.validate_checkpoints;
-  options.jobs = s.jobs;
-  options.trace = s.trace;
-  options.backend = s.backend;
-  options.policies = s.recovery_policies;
-  return verify_masked_full(std::move(program), s.wrap, config.policy(),
-                            options);
 }
 
 detect::Classification verify_masked(std::function<void()> program,
                                      weave::Runtime::WrapPredicate wrap,
                                      const detect::Policy& policy,
                                      unsigned jobs) {
-  VerifySettings options;
-  options.jobs = jobs;
-  return verify_masked_full(std::move(program), std::move(wrap), policy,
-                            options)
-      .classification;
+  fatomic::Config config;
+  config.jobs(jobs).policy(policy).mask(std::move(wrap));
+  return verify_masked_full(std::move(program), config).classification;
 }
 
 }  // namespace fatomic::mask

@@ -46,12 +46,11 @@ class MaskedScope {
  public:
   explicit MaskedScope(weave::Runtime::WrapPredicate wrap);
   /// P_C with field-granular checkpoints: additionally installs `plans`,
-  /// the completeness-validator flag, the full-checkpoint backend and
-  /// (optionally) a recovery policy table for the scope's lifetime.
+  /// the completeness-validator flag and (optionally) a recovery policy
+  /// table for the scope's lifetime.
   MaskedScope(weave::Runtime::WrapPredicate wrap,
               std::shared_ptr<const weave::PlanMap> plans,
               bool validate = false,
-              snapshot::BackendKind backend = snapshot::default_backend(),
               std::shared_ptr<const recovery::PolicyTable> policies = nullptr);
   ~MaskedScope();
   MaskedScope(const MaskedScope&) = delete;
@@ -62,31 +61,7 @@ class MaskedScope {
   weave::Runtime::WrapPredicate saved_;
   std::shared_ptr<const weave::PlanMap> saved_plans_;
   bool saved_validate_;
-  snapshot::BackendKind saved_backend_;
   std::shared_ptr<const recovery::PolicyTable> saved_policies_;
-};
-
-/// Checkpointing configuration for a mask-verify campaign.  Like
-/// detect::CampaignSettings this is the internal carrier — the supported
-/// entry point is fatomic::Config plus the Config overload of
-/// verify_masked_full below.
-struct VerifySettings {
-  /// Field-granular checkpoint plans (mask::make_plans); null = full
-  /// checkpoints everywhere.
-  std::shared_ptr<const weave::PlanMap> plans;
-  /// Shadow-validate every partial checkpoint; divergences show up in
-  /// campaign.stats.validator_divergences.
-  bool validate = false;
-  /// Worker threads for the verification campaign.
-  unsigned jobs = 1;
-  /// Record the structured event trace of the verification campaign
-  /// (Campaign::trace).
-  bool trace = false;
-  /// Full-checkpoint backend for the verification campaign (DESIGN.md §10).
-  snapshot::BackendKind backend = snapshot::default_backend();
-  /// Recovery policy table installed for the verification campaign
-  /// (DESIGN.md §14); null leaves the engine off.
-  std::shared_ptr<const recovery::PolicyTable> policies;
 };
 
 /// verify_masked plus the raw campaign — callers that need the checkpoint
@@ -96,14 +71,10 @@ struct MaskVerification {
   detect::Campaign campaign;
 };
 
-MaskVerification verify_masked_full(std::function<void()> program,
-                                    weave::Runtime::WrapPredicate wrap,
-                                    const detect::Policy& policy = {},
-                                    const VerifySettings& options = {});
-
 /// Config-driven verification: the wrap predicate, checkpoint plans, policy,
-/// jobs, validator and tracing flags all come from the unified builder.
-/// Requires a predicate installed via Config::mask().
+/// jobs, validator, tracing, checkpoint backend and recovery table all come
+/// from the unified builder.  Requires a predicate installed via
+/// Config::mask().
 MaskVerification verify_masked_full(std::function<void()> program,
                                     const fatomic::Config& config);
 

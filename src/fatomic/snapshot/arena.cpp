@@ -7,7 +7,7 @@ namespace fatomic::snapshot {
 namespace {
 
 /// Replays the record stream into a node table.  Records were emitted in
-/// Builder's allocation order, so `next_id_` reproduces the graph backend's
+/// Builder's allocation order, so `next_id_` reproduces Builder's
 /// NodeIds and Ref records resolve to already-parsed ordinals.
 class Reader {
  public:
@@ -28,13 +28,15 @@ class Reader {
         break;
       case detail::kRecObject:
       case detail::kRecSequence: {
-        // Type names are stored as pointers to their static strings.
-        const char* name = reinterpret_cast<const char*>(
+        // Record types are stored as pointers to their static descriptors.
+        const auto* type = reinterpret_cast<const detail::RecordType*>(
             static_cast<std::uintptr_t>(u64()));
         const std::uint32_t count = u32();
         nodes()[id].kind = tag == detail::kRecObject ? NodeKind::Object
                                                      : NodeKind::Sequence;
-        nodes()[id].type_name = name;
+        nodes()[id].type_name = type->name;
+        nodes()[id].child_names.assign(type->fields,
+                                       type->fields + type->field_count);
         std::vector<NodeId> kids;
         kids.reserve(count);
         // Recursion may grow nodes(); never hold a Node& across parse().

@@ -1,29 +1,32 @@
-// Arena flat-buffer snapshots (ROADMAP pillar 2): the fast checkpoint
-// backend behind the SnapshotBackend interface (backend.hpp).
+// Arena flat-buffer snapshots: the one checkpoint engine the wrappers run
+// (backend.hpp).  Builder::take() (capture.hpp) stays as its test oracle.
 //
 // One preorder walk — the *same* deterministic walk as Builder, with the
 // same alias keys — serializes the object graph into a contiguous byte slab
 // instead of a node table.  Each node becomes one tagged record, emitted in
 // Builder's allocation order, so record ordinals coincide with the NodeIds
-// the graph backend would have assigned and decode() reconstructs a node
-// table isomorphic to Builder::take()'s.  Because captures of structurally
-// equal graphs produce byte-identical slabs, graph equality is a single
-// memcmp; only a byte mismatch needs the structural oracle (type names are
-// encoded as pointers to their static strings, so two *equal* graphs can in
-// principle disagree on bytes, never the other way around — compare
-// Checkpoint::equals).
+// Builder would have assigned and decode() reconstructs a node table
+// identical to Builder::take()'s, field names included.  Because captures
+// of structurally equal graphs produce byte-identical slabs, graph equality
+// is a single memcmp; only a byte mismatch needs the structural oracle
+// (record types are encoded as pointers to static descriptors, so two
+// *equal* graphs can in principle disagree on bytes, never the other way
+// around — compare Checkpoint::equals).
 //
 // Record stream grammar (little-endian, in-process only — never persisted):
 //   value   := prim | object | sequence | pointer | null | ref
 //   prim    := 0x00 code payload            (code selects tag + payload size)
-//   object  := 0x01 name:u64 count:u32 value*count
-//   sequence:= 0x02 name:u64 count:u32 value*count
+//   object  := 0x01 type:u64 count:u32 value*count
+//   sequence:= 0x02 type:u64 count:u32 value*count
 //   pointer := 0x03 owned:u8 value          (the pointee, possibly a ref)
 //   null    := 0x04
 //   ref     := 0x05 ordinal:u32             (back-reference; creates no node)
-// Source addresses (Node::src_addr, needed by the restorer's external-alias
-// fixups) live in a side vector parallel to record ordinals — deliberately
-// *outside* the slab, so address churn between runs never breaks memcmp.
+// `type` is the address of a static detail::RecordType: the type name plus,
+// for reflected classes, the field names — one descriptor per type, so the
+// names cost no slab bytes.  Source addresses (Node::src_addr, needed by the
+// restorer's external-alias fixups) live in a side vector parallel to record
+// ordinals — deliberately *outside* the slab, so address churn between runs
+// never breaks memcmp.
 //
 // Slabs and address vectors are recycled through a per-weave::Runtime
 // ArenaPool: steady-state captures perform no allocation beyond amortized
@@ -32,6 +35,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -130,6 +134,34 @@ class ArenaSeenMap {
   std::vector<Slot> slots_;  ///< power-of-two capacity, linear probing
   std::size_t size_ = 0;
   std::uint32_t gen_ = 1;  ///< 0 is reserved for never-used slots
+};
+
+/// What an object/sequence record's type word points to.  Descriptor
+/// identity implies equal names, so byte-equal slabs still imply equal
+/// graphs.
+struct RecordType {
+  const char* name;
+  const char* const* fields = nullptr;  ///< reflected classes: field names
+  std::uint32_t field_count = 0;
+};
+
+inline constexpr RecordType kOptionalRecord{"std::optional"};
+inline constexpr RecordType kTupleRecord{"std::tuple"};
+inline constexpr RecordType kPairRecord{"std::pair"};
+inline constexpr RecordType kSeqRecord{"seq"};
+inline constexpr RecordType kMapRecord{"map"};
+
+/// The static descriptor of reflected class T (its FAT_REFLECT entry).
+template <class T>
+struct ObjectRecord {
+  static constexpr auto field_names = std::apply(
+      [](const auto&... f) {
+        return std::array<const char*, sizeof...(f)>{f.name...};
+      },
+      reflect::Reflect<T>::fields);
+  static constexpr RecordType type{
+      reflect::Reflect<T>::name, field_names.data(),
+      static_cast<std::uint32_t>(field_names.size())};
 };
 
 enum ArenaRecord : std::uint8_t {
@@ -241,11 +273,10 @@ class ArenaSnapshot {
             std::memcmp(bytes_.data(), o.bytes_.data(), bytes_.size()) == 0);
   }
 
-  /// Replays the record stream into a Snapshot node table isomorphic to the
-  /// one Builder::take() would have produced for the same live graph
-  /// (field names excepted — the slab does not store them, so diagnostic
-  /// diff paths over decoded tables use child indices).  This is how the
-  /// arena backend restores (decode + Restorer) and how compare falls back.
+  /// Replays the record stream into a Snapshot node table identical to the
+  /// one Builder::take() would have produced for the same live graph, field
+  /// names included.  This is how checkpoints restore (decode + Restorer),
+  /// how compare falls back, and what diffs and footprints render from.
   Snapshot decode() const;
 
  private:
@@ -274,7 +305,7 @@ class ArenaSnapshot {
 
 /// The preorder serializer.  Mirrors Builder::capture_value branch for
 /// branch — same alias keys, same registration points, same node creation
-/// order — so ordinals match the graph backend's NodeIds.  Public surface
+/// order — so ordinals match Builder's NodeIds.  Public surface
 /// is encode_value/encode_object; the latter is the re-entry point for
 /// polymorphic dispatch (PolyOps::encode).
 class ArenaEncoder {
@@ -295,32 +326,35 @@ class ArenaEncoder {
     } else if constexpr (tr::is_rc_ptr<T>::value) {
       return encode_smart(v.get());
     } else if constexpr (tr::is_optional_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "std::optional");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kOptionalRecord.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "std::optional", &v,
+      NodeId id = begin_composite(detail::kRecSequence,
+                                  detail::kOptionalRecord, &v,
                                   v.has_value() ? 1u : 0u);
       *slot = id;  // before children: cycles resolve to this node
       if (v.has_value()) encode_value(*v);
       return id;
     } else if constexpr (tr::is_tuple_v<T>) {
       // Synthetic weave roots — no alias registration (capture.hpp).
-      NodeId id = begin_composite(detail::kRecObject, "std::tuple", &v,
-                                  std::tuple_size_v<T>);
+      NodeId id = begin_composite(detail::kRecObject, detail::kTupleRecord,
+                                  &v, std::tuple_size_v<T>);
       std::apply([&](const auto&... elems) { (encode_value(elems), ...); }, v);
       return id;
     } else if constexpr (tr::is_pair_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "std::pair");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kPairRecord.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecObject, "std::pair", &v, 2u);
+      NodeId id =
+          begin_composite(detail::kRecObject, detail::kPairRecord, &v, 2u);
       *slot = id;
       encode_value(v.first);
       encode_value(v.second);
       return id;
     } else if constexpr (std::is_same_v<T, std::vector<bool>>) {
       // Proxy addresses must not enter the alias map; anonymous bit nodes.
-      NodeId* slot = seen_.find_or_insert(&v, "seq");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kSeqRecord.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "seq", &v, v.size());
+      NodeId id = begin_composite(detail::kRecSequence, detail::kSeqRecord,
+                                  &v, v.size());
       *slot = id;
       for (std::size_t i = 0; i < v.size(); ++i) {
         new_node(nullptr);
@@ -329,21 +363,23 @@ class ArenaEncoder {
       return id;
     } else if constexpr (tr::is_sequence_v<T> || tr::is_std_array_v<T> ||
                          tr::is_set_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "seq");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kSeqRecord.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "seq", &v, v.size());
+      NodeId id = begin_composite(detail::kRecSequence, detail::kSeqRecord,
+                                  &v, v.size());
       *slot = id;
       for (const auto& e : v) encode_value(e);
       return id;
     } else if constexpr (tr::is_map_v<T>) {
-      NodeId* slot = seen_.find_or_insert(&v, "map");
+      NodeId* slot = seen_.find_or_insert(&v, detail::kMapRecord.name);
       if (*slot != kInvalidNode) return emit_ref(*slot);
-      NodeId id = begin_composite(detail::kRecSequence, "map", &v, v.size());
+      NodeId id = begin_composite(detail::kRecSequence, detail::kMapRecord,
+                                  &v, v.size());
       *slot = id;
       for (const auto& kv : v) {
         // Entry pair nodes carry the entry address but are not registered —
         // mirrors Builder exactly.
-        begin_composite(detail::kRecObject, "std::pair", &kv, 2u);
+        begin_composite(detail::kRecObject, detail::kPairRecord, &kv, 2u);
         encode_value(kv.first);
         encode_value(kv.second);
       }
@@ -359,10 +395,11 @@ class ArenaEncoder {
 
   template <reflect::Reflected T>
   NodeId encode_object(const T& v) {
-    const char* name = reflect::Reflect<std::remove_cv_t<T>>::name;
-    NodeId* slot = seen_.find_or_insert(&v, name);
+    const detail::RecordType& type =
+        detail::ObjectRecord<std::remove_cv_t<T>>::type;
+    NodeId* slot = seen_.find_or_insert(&v, type.name);
     if (*slot != kInvalidNode) return emit_ref(*slot);
-    NodeId id = begin_composite(detail::kRecObject, name, &v,
+    NodeId id = begin_composite(detail::kRecObject, type, &v,
                                 reflect::field_count<T>());
     *slot = id;  // before children: cycles resolve to this node
     reflect::for_each_field<T>(
@@ -475,14 +512,14 @@ class ArenaEncoder {
     u8(detail::kRecNull);
     return id;
   }
-  NodeId begin_composite(std::uint8_t record, const char* name,
+  NodeId begin_composite(std::uint8_t record, const detail::RecordType& type,
                          const void* addr, std::size_t count) {
     NodeId id = new_node(addr);
     std::byte buf[13];
     buf[0] = std::byte{record};
-    const std::uint64_t nm =
-        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(name));
-    std::memcpy(buf + 1, &nm, 8);
+    const std::uint64_t word =
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&type));
+    std::memcpy(buf + 1, &word, 8);
     const std::uint32_t n = static_cast<std::uint32_t>(count);
     std::memcpy(buf + 9, &n, 4);
     append(buf, sizeof buf);

@@ -1,27 +1,6 @@
 #include "fatomic/snapshot/backend.hpp"
 
-#include <cstdlib>
-
 namespace fatomic::snapshot {
-
-const char* to_string(BackendKind k) {
-  return k == BackendKind::Arena ? "arena" : "graph";
-}
-
-std::optional<BackendKind> parse_backend(std::string_view name) {
-  if (name == "graph") return BackendKind::Graph;
-  if (name == "arena") return BackendKind::Arena;
-  return std::nullopt;
-}
-
-BackendKind default_backend() {
-  static const BackendKind kind = [] {
-    if (const char* env = std::getenv("FATOMIC_CHECKPOINT_BACKEND"))
-      if (auto k = parse_backend(env)) return *k;
-    return BackendKind::Graph;
-  }();
-  return kind;
-}
 
 std::size_t Checkpoint::units() const {
   if (const auto* s = std::get_if<Snapshot>(&rep_)) return s->node_count();
@@ -46,7 +25,7 @@ bool Checkpoint::equals(const Checkpoint& other, bool* used_memcmp) const {
     // Slab length is fully determined by the decoded table (record sizes
     // depend only on kinds, counts and values), so a length mismatch is
     // already conclusive; equal-length mismatches may still be equal graphs
-    // whose type-name pointers differ — ask the structural oracle.
+    // whose record-type pointers differ — ask the structural oracle.
     if (a1->byte_size() != a2->byte_size()) {
       if (used_memcmp != nullptr) *used_memcmp = true;
       return false;
@@ -56,7 +35,7 @@ bool Checkpoint::equals(const Checkpoint& other, bool* used_memcmp) const {
   const auto* s1 = std::get_if<Snapshot>(&rep_);
   const auto* s2 = std::get_if<Snapshot>(&other.rep_);
   if (s1 != nullptr && s2 != nullptr) return s1->equals(*s2);
-  // Mixed backends (validator cross-checks): compare node tables.
+  // Engine vs oracle (validator cross-checks): compare node tables.
   if (s1 != nullptr && a2 != nullptr) return s1->equals(a2->decode());
   if (a1 != nullptr && s2 != nullptr) return a1->decode().equals(*s2);
   // At least one side is empty: equal only if both are.

@@ -1,15 +1,13 @@
-// SnapshotBackend selection (tentpole of this PR): one type-erased
-// Checkpoint that the weave wrappers capture/compare/restore through,
-// backed by either the node-table graph walk (capture.hpp, the reference
-// semantics) or the arena flat-buffer serializer (arena.hpp, the fast
-// path).  Both backends implement the paper's deep_copy/compare/replace
-// triple with identical verdicts; the shadow validator and the backend
-// parity tests cross-check that claim continuously.
+// The checkpoint the weave wrappers capture, compare and restore through:
+// the paper's deep_copy/compare/replace triple (Listings 1-2).  The runtime
+// always checkpoints with the arena slab (arena.hpp).  The node-table graph
+// walk (capture.hpp) is kept only as the independent oracle: the
+// --validate-checkpoints shadow, the snapshot property and parity tests, and
+// campaigns explicitly configured with BackendKind::Graph (the CLI's
+// --cross-check parity gate, bench_backend, the benchmark's reference run).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <variant>
 
 #include "fatomic/snapshot/arena.hpp"
@@ -18,23 +16,20 @@
 namespace fatomic::snapshot {
 
 enum class BackendKind : std::uint8_t {
-  Graph,  ///< node-table walk + structural compare (capture.hpp)
-  Arena,  ///< flat-buffer slab + memcmp compare (arena.hpp)
+  Graph,  ///< the oracle: node-table walk + structural compare (capture.hpp)
+  Arena,  ///< the engine: flat-buffer slab + memcmp compare (arena.hpp)
 };
 
-const char* to_string(BackendKind k);
+inline const char* to_string(BackendKind k) {
+  return k == BackendKind::Arena ? "arena" : "graph";
+}
 
-/// Parses "graph" / "arena"; nullopt for anything else.
-std::optional<BackendKind> parse_backend(std::string_view name);
+/// What every checkpoint outside an oracle campaign uses.
+constexpr BackendKind default_backend() { return BackendKind::Arena; }
 
-/// Process-wide default: FATOMIC_CHECKPOINT_BACKEND when set to a valid
-/// name, Graph otherwise.  Read once and cached.
-BackendKind default_backend();
-
-/// One full checkpoint taken through a selected backend — the object the
-/// wrappers hold between "before" and "after" (Listing 1) or across a
-/// masked call (Listing 2).  Movable, not copyable (arena slabs are
-/// pool-owned).
+/// One full checkpoint — the object the wrappers hold between "before" and
+/// "after" (Listing 1) or across a masked call (Listing 2).  Movable, not
+/// copyable (arena slabs are pool-owned).
 class Checkpoint {
  public:
   Checkpoint() = default;
@@ -56,17 +51,16 @@ class Checkpoint {
                                                        : BackendKind::Graph;
   }
 
-  /// Captured node count — the unit both backends charge to
-  /// stats.checkpoint_units.
+  /// Captured node count — the unit charged to stats.checkpoint_units.
   std::size_t units() const;
 
-  /// Arena slab size in bytes; 0 for the graph backend.
+  /// Arena slab size in bytes; 0 for a graph (oracle) checkpoint.
   std::size_t bytes() const;
 
   /// Graph equality (the paper's compare).  Arena/arena pairs decide by one
   /// memcmp over the slabs and fall back to a structural compare of the
   /// decoded tables only on byte mismatch — byte-equal slabs imply equal
-  /// graphs, the converse does not hold (encoded type-name pointers may
+  /// graphs, the converse does not hold (encoded record-type pointers may
   /// differ between equal graphs).  `used_memcmp`, when non-null, reports
   /// whether the fast path was conclusive (feeds stats.memcmp_compares /
   /// stats.compare_fallbacks).
@@ -74,7 +68,7 @@ class Checkpoint {
 
   /// Rolls `root` back to this checkpoint (the paper's replace).  The arena
   /// stream restores by decoding to a node table and replaying it through
-  /// the Restorer — identical effect, backend-independent semantics.
+  /// the Restorer.
   template <class T>
   void restore_to(T& root) const {
     if (const auto* s = std::get_if<Snapshot>(&rep_)) {
@@ -88,7 +82,7 @@ class Checkpoint {
   }
 
   /// The node-table view of this checkpoint (decoding when arena-backed) —
-  /// the diagnostic path: diffs, hashes, the shadow validator.
+  /// the diagnostic path: diffs, footprints, the shadow validator.
   Snapshot graph() const;
 
  private:

@@ -54,24 +54,21 @@ inline void fire_injection_points(const MethodInfo& mi, Runtime& rt) {
   for (const ExceptionSpec& e : rt.runtime_exceptions()) fire(e);
 }
 
-/// Takes one full checkpoint through the runtime-selected backend and
-/// charges the backend-specific counters/trace events.  Shared by the
-/// atomicity wrapper's checkpoint and the injection wrapper's before/after
-/// captures, so a campaign's full-checkpoint accounting is uniform.
+/// Takes one full checkpoint (an arena slab, or a graph capture in an
+/// oracle campaign) and charges its counters/trace events.  Shared by the
+/// atomicity wrapper's checkpoint and the injection wrapper's before
+/// capture, so a campaign's full-checkpoint accounting is uniform.
 template <class Root>
 snapshot::Checkpoint take_full_checkpoint(const MethodInfo& mi,
-                                          const Root& root, Runtime& rt,
-                                          snapshot::BackendKind kind,
-                                          bool count_snapshot) {
-  const bool arena = kind == snapshot::BackendKind::Arena;
+                                          const Root& root, Runtime& rt) {
+  const bool arena = rt.checkpoint_backend == snapshot::BackendKind::Arena;
   const std::uint64_t t0 = rt.trace.begin_span();
-  snapshot::Checkpoint cp = snapshot::Checkpoint::take(root, kind, &rt.arena_pool);
-  if (count_snapshot) {
-    ++rt.stats.snapshots_taken;
-    if (arena) {
-      ++rt.stats.arena_checkpoints;
-      rt.stats.arena_bytes += cp.bytes();
-    }
+  snapshot::Checkpoint cp =
+      snapshot::Checkpoint::take(root, rt.checkpoint_backend, &rt.arena_pool);
+  ++rt.stats.snapshots_taken;
+  if (arena) {
+    ++rt.stats.arena_checkpoints;
+    rt.stats.arena_bytes += cp.bytes();
   }
   rt.trace.span(
       arena ? trace::EventKind::ArenaCapture : trace::EventKind::Snapshot, t0,
@@ -184,8 +181,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
         }
       }
       if (!partial) {
-        full.emplace(take_full_checkpoint(mi, root, rt, rt.checkpoint_backend,
-                                          /*count_snapshot=*/true));
+        full.emplace(take_full_checkpoint(mi, root, rt));
         rt.stats.checkpoint_units += full->units();
       }
     }
@@ -379,12 +375,11 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
       ++rt.stats.partial_fallbacks;
       rt.trace.instant(trace::EventKind::PartialFallback, &mi);
     }
-    snapshot::Checkpoint checkpoint = take_full_checkpoint(
-        mi, root, rt, rt.checkpoint_backend, /*count_snapshot=*/true);
+    snapshot::Checkpoint checkpoint = take_full_checkpoint(mi, root, rt);
     rt.stats.checkpoint_units += checkpoint.units();
-    // Backend shadow validator: under validate_checkpoints every arena
-    // checkpoint is cross-checked against a graph capture of the same live
-    // state — the two backends must agree on what they recorded.
+    // Oracle shadow: under validate_checkpoints every arena checkpoint is
+    // cross-checked against a graph capture of the same live state — the
+    // engine and its oracle must agree on what they recorded.
     if (rt.validate_checkpoints &&
         checkpoint.backend() == snapshot::BackendKind::Arena) {
       if (!snapshot::capture(root).equals(checkpoint.graph())) {
@@ -417,18 +412,10 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     explicit DepthGuard(Runtime& r) : rt(r) { ++rt.depth; }
     ~DepthGuard() { --rt.depth; }
   } depth_guard(rt);
-  // Diff recording renders field names, which only the graph backend's node
-  // tables carry (the arena slab stores none — they are type-determined);
-  // record_diffs campaigns therefore pin the injection wrapper to graph
-  // captures.  It is already the "pay for diagnostics" knob.
-  const snapshot::BackendKind kind = rt.record_diffs || rt.record_footprints
-                                         ? snapshot::BackendKind::Graph
-                                         : rt.checkpoint_backend;
-  const bool arena = kind == snapshot::BackendKind::Arena;
-  snapshot::Checkpoint before =
-      take_full_checkpoint(mi, root, rt, kind, /*count_snapshot=*/true);
+  snapshot::Checkpoint before = take_full_checkpoint(mi, root, rt);
+  const bool arena = before.backend() == snapshot::BackendKind::Arena;
   // Verdict cross-check (shadow validator): under validate_checkpoints the
-  // graph backend independently captures the same states and must reach the
+  // graph oracle independently captures the same states and must reach the
   // same atomic/non-atomic verdict as the arena compare.
   snapshot::Snapshot before_shadow;
   if (arena && rt.validate_checkpoints) before_shadow = snapshot::capture(root);
@@ -437,7 +424,7 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
   } catch (...) {
     const std::uint64_t c0 = rt.trace.begin_span();
     snapshot::Checkpoint after =
-        snapshot::Checkpoint::take(root, kind, &rt.arena_pool);
+        snapshot::Checkpoint::take(root, before.backend(), &rt.arena_pool);
     ++rt.stats.comparisons;
     bool used_memcmp = false;
     const bool atomic = before.equals(after, &used_memcmp);

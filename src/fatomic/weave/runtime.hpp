@@ -95,13 +95,13 @@ struct RuntimeStats {
   /// summed over all checkpoints — the quantity field-granular plans shrink.
   std::uint64_t checkpoint_units = 0;
   /// Completeness-validator divergences: partial restore left the receiver
-  /// in a state differing from the shadow full checkpoint's restore, or the
-  /// arena and graph backends disagreed on a capture or compare.  Any
-  /// nonzero value indicates an unsound write set or a backend bug.
+  /// in a state differing from the shadow full checkpoint's restore, or an
+  /// arena checkpoint disagreed with its graph-walk oracle on a capture or
+  /// compare.  Any nonzero value indicates an unsound write set or an arena
+  /// bug.
   std::uint64_t validator_divergences = 0;
-  /// Full checkpoints served by the arena flat-buffer backend (always a
-  /// subset of snapshots_taken, which counts full checkpoints of either
-  /// backend).
+  /// Full checkpoints served by the arena slab — all of snapshots_taken
+  /// except in a campaign configured with the graph oracle.
   std::uint64_t arena_checkpoints = 0;
   /// Total arena slab bytes captured.
   std::uint64_t arena_bytes = 0;
@@ -109,7 +109,7 @@ struct RuntimeStats {
   std::uint64_t memcmp_compares = 0;
   /// Arena comparisons that fell back to decoding + structural compare
   /// (byte mismatch on equal-length slabs — possible for equal graphs whose
-  /// interned type-name pointers differ).
+  /// record-type pointers differ).
   std::uint64_t compare_fallbacks = 0;
   /// Rollbacks that failed mid-replay (snapshot::RestoreError): the
   /// receiver may be partially restored.  Surfaced in campaign JSON so a
@@ -352,18 +352,19 @@ class Runtime {
   /// Debug completeness validator: when set, every partial checkpoint also
   /// takes a shadow full checkpoint, and a rollback re-checks the restored
   /// receiver against the shadow (stats.validator_divergences counts
-  /// mismatches).  Under the arena backend the shadow additionally
-  /// cross-checks the two backends: every arena capture is shadowed by a
-  /// graph capture and every compare verdict must agree.  Costs a full
-  /// capture per wrapped call — off by default.
+  /// mismatches).  The shadow also checks the arena against its oracle:
+  /// every arena capture is shadowed by a graph capture and every compare
+  /// verdict must agree.  Costs a full capture per wrapped call — off by
+  /// default.
   bool validate_checkpoints = false;
 
-  // --- checkpoint backend (DESIGN.md §10) -----------------------------------
-  /// Which full-checkpoint representation the wrappers use.  Defaults to
-  /// the process default (FATOMIC_CHECKPOINT_BACKEND env var, else graph).
+  // --- checkpoint engine (DESIGN.md §10) ------------------------------------
+  /// Full-checkpoint representation: always the arena, except inside a
+  /// campaign whose CampaignSettings::backend selects the graph oracle —
+  /// the campaign mirrors its setting here for its own length.
   snapshot::BackendKind checkpoint_backend = snapshot::default_backend();
-  /// Capture scratch for the arena backend — slabs, address vectors and the
-  /// alias map are recycled across this runtime's captures.
+  /// Capture scratch for the arena — slabs, address vectors and the alias
+  /// map are recycled across this runtime's captures.
   snapshot::ArenaPool arena_pool;
 
   RuntimeStats stats;

@@ -1,7 +1,7 @@
-// Checkpoint backend parity: the arena flat-buffer backend must agree with
-// the graph backend on every shape the snapshot engine supports — aliases,
-// cycles, polymorphism, sliced fallback — and both must detect the same
-// structural mutations.  Also hosts the snapshot-layer regression tests for
+// Checkpoint parity: the arena engine must agree with its graph-walk oracle
+// on every shape the snapshot layer supports — aliases, cycles,
+// polymorphism, sliced fallback — and both must detect the same structural
+// mutations.  Also hosts the snapshot-layer regression tests for
 // the alias-key hash, bitwise float identity and restore exception safety.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fatomic/config.hpp"
 #include "fatomic/detect/campaign.hpp"
 #include "fatomic/report/json.hpp"
 #include "fatomic/snapshot/arena.hpp"
@@ -31,14 +32,23 @@ FAT_POLY(Shape, Rect);
 namespace {
 
 /// Both backends must produce the same logical graph: the decoded arena
-/// table equals the graph capture, node for node.
+/// table equals the graph capture, node for node — field names included,
+/// which Node equality ignores but diffs and footprints render.
 template <class T>
 void expect_parity(const T& value) {
   snap::Snapshot graph = snap::capture(value);
   snap::ArenaSnapshot arena = snap::arena_capture(value);
   ASSERT_EQ(graph.node_count(), arena.node_count());
-  EXPECT_TRUE(graph.equals(arena.decode()))
+  const snap::Snapshot decoded = arena.decode();
+  EXPECT_TRUE(graph.equals(decoded))
       << "decoded arena table diverges from the graph capture";
+  for (std::size_t id = 0; id < graph.node_count(); ++id) {
+    const auto& want = graph.node(static_cast<snap::NodeId>(id)).child_names;
+    const auto& got = decoded.node(static_cast<snap::NodeId>(id)).child_names;
+    ASSERT_EQ(got.size(), want.size()) << "node " << id;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_STREQ(got[i], want[i]) << "node " << id << " field " << i;
+  }
 
   // Checkpoint-level mixed compare takes the same decode path.
   auto g = snap::Checkpoint::take(value, snap::BackendKind::Graph);
@@ -407,9 +417,9 @@ TEST(CampaignJson, StatsCarryArenaAndRestoreCounters) {
 }
 
 TEST(BackendConfig, ParseAndPrintRoundTrip) {
-  EXPECT_EQ(snap::parse_backend("graph"), snap::BackendKind::Graph);
-  EXPECT_EQ(snap::parse_backend("arena"), snap::BackendKind::Arena);
-  EXPECT_FALSE(snap::parse_backend("mmap").has_value());
   EXPECT_STREQ(snap::to_string(snap::BackendKind::Arena), "arena");
   EXPECT_STREQ(snap::to_string(snap::BackendKind::Graph), "graph");
+  // The arena is the engine; the graph walk is only ever asked for.
+  EXPECT_EQ(snap::default_backend(), snap::BackendKind::Arena);
+  EXPECT_EQ(fatomic::Config{}.checkpoint_backend(), snap::BackendKind::Arena);
 }

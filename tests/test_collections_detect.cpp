@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "fatomic/config.hpp"
 #include "fatomic/detect/classify.hpp"
 #include "fatomic/detect/experiment.hpp"
 #include "subjects/apps/apps.hpp"
@@ -158,4 +159,34 @@ TEST_F(CollectionsDetect, DynarrayConditionalDelegation) {
             MethodClass::PureNonAtomic);
   EXPECT_EQ(cls_of("Dynarray", "Dynarray::grow"), MethodClass::Atomic);
   EXPECT_EQ(cls_of("Dynarray", "Dynarray::insert_at"), MethodClass::Atomic);
+}
+
+// Diff recording must not take the injection wrapper off the arena: every
+// full checkpoint stays an arena slab, the oracle shadow still runs, and the
+// decoded slabs render the same field-named diffs as graph-walk captures.
+TEST_F(CollectionsDetect, LinkedListDiffsStayOnArenaUnderValidator) {
+  const auto& program = subjects::apps::app("LinkedList").program;
+  fatomic::Config cfg;
+  cfg.record_diffs(true).validate_checkpoints(true);
+  const detect::Campaign arena = detect::Experiment(program, cfg).run();
+  fatomic::Config oracle_cfg;
+  oracle_cfg.record_diffs(true).checkpoint_backend(
+      fatomic::snapshot::BackendKind::Graph);
+  const detect::Campaign oracle = detect::Experiment(program, oracle_cfg).run();
+
+  EXPECT_GT(arena.stats.snapshots_taken, 0u);
+  EXPECT_EQ(arena.stats.arena_checkpoints, arena.stats.snapshots_taken);
+  EXPECT_EQ(arena.stats.validator_divergences, 0u);
+  ASSERT_EQ(arena.runs.size(), oracle.runs.size());
+  std::size_t diffs = 0;
+  for (std::size_t r = 0; r < arena.runs.size(); ++r) {
+    const auto& got = arena.runs[r].marks;
+    const auto& want = oracle.runs[r].marks;
+    ASSERT_EQ(got.size(), want.size()) << "run " << r;
+    for (std::size_t m = 0; m < got.size(); ++m) {
+      EXPECT_EQ(got[m].detail, want[m].detail) << "run " << r << " mark " << m;
+      diffs += !got[m].detail.empty();
+    }
+  }
+  EXPECT_GT(diffs, 0u) << "LinkedList has non-atomic marks to render";
 }

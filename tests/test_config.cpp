@@ -1,5 +1,5 @@
 // fatomic::Config — the unified builder must reproduce the internal knob
-// structs (CampaignSettings / VerifySettings) exactly.  The deprecated
+// struct (CampaignSettings) exactly.  The deprecated
 // detect::Options and mask::MaskOptions adapters completed their one-release
 // migration cycle and are gone (DESIGN.md migration table).
 #include "fatomic/config.hpp"
@@ -107,10 +107,16 @@ TEST_F(ConfigTest, ConfigMaskVerificationMatchesLegacyPath) {
   cfg.mask(wrap);
   const auto via_config =
       fatomic::mask::verify_masked_full(synthetic::workload, cfg);
-  const auto via_legacy =
-      fatomic::mask::verify_masked_full(synthetic::workload, wrap);
+  detect::CampaignSettings settings;
+  settings.masked = true;
+  settings.wrap = wrap;
+  const detect::Campaign via_settings =
+      detect::Experiment(synthetic::workload, settings).run();
   EXPECT_EQ(report::campaign_json(via_config.campaign),
-            report::campaign_json(via_legacy.campaign));
+            report::campaign_json(via_settings));
+  EXPECT_EQ(via_config.classification.nonatomic_names(),
+            fatomic::mask::verify_masked(synthetic::workload, wrap)
+                .nonatomic_names());
 }
 
 TEST_F(ConfigTest, RecoveryBuilderAccumulatesPolicies) {

@@ -279,8 +279,8 @@ TEST_F(TraceTest, MaskVerificationTraceCoversCheckpoints) {
   const auto verified =
       fatomic::mask::verify_masked_full(synthetic::workload, config);
   ASSERT_TRUE(verified.campaign.trace.enabled);
-  // Full checkpoints show up as Snapshot or ArenaCapture spans depending on
-  // the selected backend; stats.snapshots_taken counts both.
+  // Full checkpoints show up as ArenaCapture spans, or as Snapshot spans in
+  // a graph-oracle campaign; stats.snapshots_taken counts both.
   std::size_t snapshots = 0, rollbacks = 0;
   for (const trace::Event& e : verified.campaign.trace.events) {
     snapshots += e.kind == trace::EventKind::Snapshot ||
