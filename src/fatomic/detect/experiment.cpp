@@ -31,68 +31,6 @@ Experiment::Experiment(std::function<void()> program,
 
 namespace {
 
-/// RAII: installs a wrap predicate for the campaign and restores the
-/// previously installed one after — nested masked experiments (e.g. a
-/// mask-verify campaign launched from inside a MaskedScope) keep the outer
-/// predicate intact.
-class ScopedWrap {
- public:
-  explicit ScopedWrap(weave::Runtime::WrapPredicate p)
-      : saved_(weave::Runtime::instance().wrap_predicate()) {
-    if (p) weave::Runtime::instance().set_wrap_predicate(std::move(p));
-  }
-  ~ScopedWrap() {
-    weave::Runtime::instance().set_wrap_predicate(std::move(saved_));
-  }
-
- private:
-  weave::Runtime::WrapPredicate saved_;
-};
-
-/// RAII: installs checkpoint plans and the validator flag for the campaign,
-/// restoring the runtime's previous plan state after.  Workers inherit both
-/// through adopt_config().
-class ScopedPlans {
- public:
-  ScopedPlans(std::shared_ptr<const weave::PlanMap> plans, bool validate)
-      : saved_plans_(weave::Runtime::instance().checkpoint_plans()),
-        saved_validate_(weave::Runtime::instance().validate_checkpoints) {
-    auto& rt = weave::Runtime::instance();
-    if (plans) rt.set_checkpoint_plans(std::move(plans));
-    if (validate) rt.validate_checkpoints = true;
-  }
-  ~ScopedPlans() {
-    auto& rt = weave::Runtime::instance();
-    rt.set_checkpoint_plans(std::move(saved_plans_));
-    rt.validate_checkpoints = saved_validate_;
-  }
-  ScopedPlans(const ScopedPlans&) = delete;
-  ScopedPlans& operator=(const ScopedPlans&) = delete;
-
- private:
-  std::shared_ptr<const weave::PlanMap> saved_plans_;
-  bool saved_validate_;
-};
-
-/// RAII: installs a recovery policy table for the campaign and restores the
-/// runtime's previous table after.  Workers inherit it through
-/// adopt_config().
-class ScopedPolicies {
- public:
-  explicit ScopedPolicies(std::shared_ptr<const recovery::PolicyTable> table)
-      : saved_(weave::Runtime::instance().recovery_policies()) {
-    if (table) weave::Runtime::instance().set_recovery_policies(std::move(table));
-  }
-  ~ScopedPolicies() {
-    weave::Runtime::instance().set_recovery_policies(std::move(saved_));
-  }
-  ScopedPolicies(const ScopedPolicies&) = delete;
-  ScopedPolicies& operator=(const ScopedPolicies&) = delete;
-
- private:
-  std::shared_ptr<const recovery::PolicyTable> saved_;
-};
-
 /// RAII: puts the driving runtime's trace buffer into the state this
 /// campaign wants — armed with a fresh epoch for traced campaigns, disabled
 /// otherwise (so an untraced inner campaign stays invisible to an outer
@@ -222,6 +160,10 @@ Campaign Experiment::run() {
   auto& rt = weave::Runtime::instance();
   Campaign campaign;
 
+  // The runtime mirrors this campaign's settings for the campaign's length
+  // (workers copy them through adopt_config); the driving runtime's own
+  // values come back after.
+  weave::ScopedSettings settings(rt);
   ScopedTrace trace_scope(rt, opts_.trace);
   campaign.trace.enabled = rt.trace.enabled();
   const std::uint64_t campaign_t0 = rt.trace.begin_span();
@@ -233,10 +175,6 @@ Campaign Experiment::run() {
   const bool provenance = opts_.provenance && unwind::available();
   campaign.provenance = provenance;
   unwind::ScopedArm arm(provenance);
-  struct ProvFlag {
-    bool saved = weave::Runtime::instance().provenance;
-    ~ProvFlag() { weave::Runtime::instance().provenance = saved; }
-  } prov_flag;
   rt.provenance = provenance;
 
   // With static pruning requested, the baseline additionally records the
@@ -302,27 +240,18 @@ Campaign Experiment::run() {
   // the closing campaign span lands last.
   if (campaign.trace.enabled) campaign.trace.events = rt.trace.take(0);
 
-  ScopedWrap wrap(opts_.masked ? opts_.wrap : nullptr);
-  ScopedPlans plans(opts_.masked ? opts_.checkpoint_plans : nullptr,
-                    opts_.validate_checkpoints);
-  ScopedPolicies policies(opts_.masked ? opts_.recovery_policies : nullptr);
+  // A null wrap predicate, plan map or policy table leaves what the runtime
+  // holds — a mask-verify campaign launched from inside a MaskedScope keeps
+  // the scope's settings — and so does an unset validator flag.
+  if (opts_.masked) {
+    if (opts_.wrap) rt.set_wrap_predicate(opts_.wrap);
+    if (opts_.checkpoint_plans) rt.set_checkpoint_plans(opts_.checkpoint_plans);
+    if (opts_.recovery_policies)
+      rt.set_recovery_policies(opts_.recovery_policies);
+  }
+  if (opts_.validate_checkpoints) rt.validate_checkpoints = true;
   const weave::Mode mode =
       opts_.masked ? weave::Mode::InjectMask : weave::Mode::Inject;
-
-  // The runtime mirrors these settings for the campaign's length (workers
-  // copy them through adopt_config); the driving runtime's own values come
-  // back after.
-  struct MirroredFlags {
-    weave::Runtime& rt;
-    bool diffs = rt.record_diffs;
-    bool footprints = rt.record_footprints;
-    snapshot::BackendKind backend = rt.checkpoint_backend;
-    ~MirroredFlags() {
-      rt.record_diffs = diffs;
-      rt.record_footprints = footprints;
-      rt.checkpoint_backend = backend;
-    }
-  } mirrored{rt};
   rt.record_diffs = opts_.record_diffs;
   rt.record_footprints = opts_.record_footprints;
   rt.checkpoint_backend = opts_.backend;

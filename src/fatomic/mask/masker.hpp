@@ -39,9 +39,8 @@ std::shared_ptr<const weave::PlanMap> make_plans(
     const analyze::StaticReport& report);
 
 /// RAII: switches the runtime to the corrected program P_C — Mask mode plus
-/// the given wrap predicate — for the lifetime of the scope.  The previously
-/// installed predicate (and checkpoint-plan state, for the plan-taking
-/// overload) is restored on exit.
+/// the given wrap predicate — for the lifetime of the scope.  The runtime's
+/// previous settings (weave::ScopedSettings) are restored on exit.
 class MaskedScope {
  public:
   explicit MaskedScope(weave::Runtime::WrapPredicate wrap);
@@ -58,10 +57,7 @@ class MaskedScope {
 
  private:
   weave::ScopedMode mode_;
-  weave::Runtime::WrapPredicate saved_;
-  std::shared_ptr<const weave::PlanMap> saved_plans_;
-  bool saved_validate_;
-  std::shared_ptr<const recovery::PolicyTable> saved_policies_;
+  weave::ScopedSettings saved_;
 };
 
 /// verify_masked plus the raw campaign — callers that need the checkpoint

@@ -7,8 +7,11 @@
 // following Ares' recovery operators and TripleAgent's perturbation/recovery
 // split (PAPERS.md).  A PolicyTable maps qualified method names to policies;
 // the atomicity wrapper (weave/invoke.hpp, masked_call) consults the table
-// installed in the runtime and applies the selected action when an exception
-// unwinds through a wrapped call.  Tables are *derived from campaign
+// installed in the runtime and hands a method with an entry to
+// recovered_call, which applies the selected action when an exception
+// unwinds through the call.  Both paths take, validate and restore the entry
+// checkpoint through the same guard (weave::detail::EntryGuard); only the
+// action differs.  Tables are *derived from campaign
 // evidence* (recovery/derive.hpp), never guessed: every action is backed by
 // a static proof or a dynamically validated plan, and the runtime still
 // re-checks the assumptions each action rests on (see the field comments).
@@ -50,9 +53,10 @@ enum class Action : std::uint8_t {
   /// rollback + rethrow.
   Retry,
   /// Failure-oblivious continuation, guarded: compare post-exception state
-  /// against the entry checkpoint and swallow the exception only when the
+  /// against a full entry checkpoint and swallow the exception only when the
   /// two are equal — a corrupted-state verdict is never masked; it rolls
-  /// back and rethrows instead.
+  /// back and rethrows instead.  The compare is the injection wrapper's:
+  /// counted, traced and, under the validator, checked against the oracle.
   Degrade,
 };
 
@@ -110,8 +114,8 @@ struct RecoveryPolicy {
 };
 
 /// Qualified-method-name → policy.  Methods without an entry keep the
-/// engine-off behaviour (plain rollback + rethrow through the existing
-/// masked_call path), so installing an empty table changes nothing.
+/// engine-off behaviour (plain rollback + rethrow through masked_call), so
+/// installing an empty table changes nothing.
 class PolicyTable {
  public:
   void set(const std::string& qualified_name, RecoveryPolicy policy) {

@@ -13,8 +13,8 @@
 //   Direct      — the original program P.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <tuple>
 #include <type_traits>
@@ -76,6 +76,55 @@ snapshot::Checkpoint take_full_checkpoint(const MethodInfo& mi,
   return cp;
 }
 
+/// Oracle shadow: under validate_checkpoints an arena checkpoint is
+/// cross-checked against a graph capture of the same live state — the
+/// engine and its oracle must agree on what they recorded.  Returns that
+/// capture (empty otherwise) for compare_with_entry's verdict check.
+template <class Root>
+snapshot::Snapshot oracle_shadow(const MethodInfo& mi, const Root& root,
+                                 const snapshot::Checkpoint& cp, Runtime& rt) {
+  snapshot::Snapshot shadow;
+  if (!rt.validate_checkpoints ||
+      cp.backend() != snapshot::BackendKind::Arena)
+    return shadow;
+  shadow = snapshot::capture(root);
+  if (!shadow.equals(cp.graph())) {
+    ++rt.stats.validator_divergences;
+    rt.trace.instant(trace::EventKind::Validator, &mi, 0, "backend");
+  }
+  return shadow;
+}
+
+/// Does the live state of `root` still equal the full checkpoint `before`?
+/// The injection wrapper's atomicity verdict (Listing 1, line 10) and the
+/// degrade guard both ask through here.  Stores the post-state capture in
+/// `after` (for diffs), counts the comparison and how the arena decided it,
+/// and under validate_checkpoints checks the verdict against the graph
+/// oracle's (`before_shadow` is oracle_shadow's capture of `before`).
+template <class Root>
+bool compare_with_entry(const MethodInfo& mi, const Root& root,
+                        const snapshot::Checkpoint& before,
+                        const snapshot::Snapshot& before_shadow, Runtime& rt,
+                        snapshot::Checkpoint& after) {
+  const std::uint64_t c0 = rt.trace.begin_span();
+  after = snapshot::Checkpoint::take(root, before.backend(), &rt.arena_pool);
+  ++rt.stats.comparisons;
+  bool used_memcmp = false;
+  const bool equal = before.equals(after, &used_memcmp);
+  if (before.backend() != snapshot::BackendKind::Arena) {
+    rt.trace.span(trace::EventKind::Compare, c0, &mi, equal ? 1 : 0);
+    return equal;
+  }
+  ++(used_memcmp ? rt.stats.memcmp_compares : rt.stats.compare_fallbacks);
+  rt.trace.span(trace::EventKind::ArenaCompare, c0, &mi, used_memcmp ? 1 : 0);
+  if (rt.validate_checkpoints &&
+      before_shadow.equals(snapshot::capture(root)) != equal) {
+    ++rt.stats.validator_divergences;
+    rt.trace.instant(trace::EventKind::Validator, &mi, 0, "backend");
+  }
+  return equal;
+}
+
 /// RAII marker: subject code reached through this scope was entered by the
 /// engine itself (rollback replay), so dispatch() routes it straight to the
 /// body — no injection points, faults, counting or nested wrapping.
@@ -87,27 +136,113 @@ struct EngineScope {
   EngineScope& operator=(const EngineScope&) = delete;
 };
 
-/// Rolls `root` back to `cp`, translating a mid-replay failure into the
-/// restore_errors counter + a RestoreFailure event before letting the
-/// RestoreError propagate (the receiver may be partially restored — masking
-/// anything at that point would hide corruption).
+/// The entry state a masking wrapper's attempt needs; each value subsumes
+/// the ones before it.
+enum class EntryNeed : std::uint8_t {
+  None,     ///< retry without rollback: the atomicity proof is the checkpoint
+  Planned,  ///< the method's partial plan when it has one, else a full copy
+  Full,     ///< a whole-state checkpoint, the only kind degrade can compare
+};
+
+/// The atomicity wrapper's entry checkpoint (Listing 2, line 6) and all it
+/// is used for: restore on exception, and the "is the state still equal to
+/// entry?" question.  One guard per wrapped attempt, shared by masked_call
+/// and recovered_call, so both checkpoint, validate and restore alike.
+///
+/// No reflection traits are queried in this class's declarations:
+/// masked_call's deduced return type instantiates the class at the
+/// FAT_INVOKE call site, which in subject layouts with trailing FAT_REFLECT
+/// blocks precedes the Reflect specialization.  The member functions have
+/// concrete return types, so their trait dispatch instantiates at the end
+/// of the translation unit, after every FAT_REFLECT.
 template <class Root>
-void rollback_to(const MethodInfo& mi, Root& root,
-                 const snapshot::Checkpoint& cp, Runtime& rt) {
-  try {
-    // Restoring containers of instrumented objects re-runs their
-    // constructors; those entries must not fire injection points of their
-    // own (the engine would sabotage its own rollback).
-    EngineScope engine(rt);
-    cp.restore_to(root);
-  } catch (const RestoreError&) {
-    ++rt.stats.restore_errors;
-    rt.trace.instant(trace::EventKind::RestoreFailure, &mi);
-    throw;
+class EntryGuard {
+ public:
+  EntryGuard(const MethodInfo& mi, Root& root, Runtime& rt, EntryNeed need)
+      : mi_(mi), root_(root), rt_(rt) {
+    if (need == EntryNeed::None) return;
+    if (need == EntryNeed::Planned) {
+      plan_ = rt.checkpoint_plan(mi);
+      if (rt.trace.enabled())
+        rt.trace.instant(trace::EventKind::PlanLookup, &mi, plan_ != nullptr);
+    }
+    // Field-granular fast path (DESIGN.md §8): capture only the planned
+    // leaves.  The walker handles tuple roots from invoke_with too (partial
+    // plans imply no parameter writes, so extra by-ref args only contribute
+    // walk structure).  Any walk-time surprise falls back to the full deep
+    // copy below.
+    if (plan_ != nullptr) {
+      const std::uint64_t t0 = rt.trace.begin_span();
+      partial_ = snapshot::partial_capture(root, *plan_);
+      if (partial_.ok) {
+        ++rt.stats.partial_checkpoints;
+        rt.stats.checkpoint_units += partial_.values.size();
+        rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
+                      partial_.values.size());
+        if (rt.validate_checkpoints) shadow_ = snapshot::capture(root);
+        return;
+      }
+      plan_ = nullptr;
+      ++rt.stats.partial_fallbacks;
+      rt.trace.instant(trace::EventKind::PartialFallback, &mi);
+    }
+    full_ = take_full_checkpoint(mi, root, rt);
+    rt.stats.checkpoint_units += full_.units();
+    shadow_ = oracle_shadow(mi, root, full_, rt);
   }
-  ++rt.stats.rollbacks;
-  rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/0);
-}
+
+  /// Rolls the root back to entry; a no-op when nothing was captured.  A
+  /// restore that fails mid-replay counts a restore error and lets the
+  /// RestoreError propagate (the root may be partially restored — masking
+  /// anything at that point would hide corruption).  A partial restore is
+  /// re-checked against the validator shadow.
+  void restore() {
+    const bool partial = plan_ != nullptr;
+    if (!partial && !full_.valid()) return;
+    try {
+      // Restoring containers of instrumented objects re-runs their
+      // constructors; those entries must not fire injection points of their
+      // own (the engine would sabotage its own rollback).
+      EngineScope engine(rt_);
+      if (partial)
+        snapshot::partial_restore(root_, partial_, *plan_);
+      else
+        full_.restore_to(root_);
+    } catch (const RestoreError&) {
+      ++rt_.stats.restore_errors;
+      rt_.trace.instant(trace::EventKind::RestoreFailure, &mi_);
+      throw;
+    }
+    ++rt_.stats.rollbacks;
+    rt_.trace.instant(trace::EventKind::Rollback, &mi_, partial ? 1 : 0);
+    if (partial && rt_.validate_checkpoints &&
+        !shadow_.equals(snapshot::capture(root_))) {
+      ++rt_.stats.validator_divergences;
+      rt_.trace.instant(trace::EventKind::Validator, &mi_);
+    }
+  }
+
+  /// Whether the live state still equals entry (the degrade guard).  Only a
+  /// full checkpoint can answer; without one the state is never presumed
+  /// intact.
+  bool intact() {
+    if (!full_.valid()) return false;
+    snapshot::Checkpoint after;
+    return compare_with_entry(mi_, root_, full_, shadow_, rt_, after);
+  }
+
+ private:
+  const MethodInfo& mi_;
+  Root& root_;
+  Runtime& rt_;
+  /// Non-null exactly while a partial capture is held.
+  const snapshot::CheckpointPlan* plan_ = nullptr;
+  snapshot::PartialSnapshot partial_;
+  snapshot::Checkpoint full_;
+  /// validate_checkpoints shadow: a partial checkpoint's full capture, or
+  /// an arena checkpoint's graph-oracle capture.
+  snapshot::Snapshot shadow_;
+};
 
 /// Production-mode fault source (DESIGN.md §14): raises an
 /// InjectedRuntimeError inside the protected region on every
@@ -142,72 +277,23 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
       std::is_void_v<R> ||
       (std::is_default_constructible_v<R> && !std::is_reference_v<R>);
 
-  // Which recovery paths this policy can reach decides the checkpoint the
-  // attempt loop takes.  Only retry-without-rollback (statically proven
-  // atomic methods) runs checkpoint-free; degrade needs a *full* entry
-  // checkpoint because its guard is a whole-state compare, which a partial
+  // Which recovery paths this policy can reach decides the entry state every
+  // attempt takes.  Only retry-without-rollback (statically proven atomic
+  // methods) runs checkpoint-free; degrade needs a *full* entry checkpoint
+  // because its guard is a whole-state compare, which a partial
   // (plan-scoped) snapshot cannot answer.
-  auto needs_state = [&](Action a) {
-    return !(a == Action::Retry && !pol.rollback_before_retry);
+  auto need_for = [&](Action a) {
+    if (a == Action::Degrade) return EntryNeed::Full;
+    return a == Action::Retry && !pol.rollback_before_retry
+               ? EntryNeed::None
+               : EntryNeed::Planned;
   };
-  bool need_checkpoint = needs_state(pol.action);
-  bool may_degrade = pol.action == Action::Degrade;
-  for (const auto& [type, act] : pol.exception_overrides) {
-    (void)type;
-    if (needs_state(act)) need_checkpoint = true;
-    if (act == Action::Degrade) may_degrade = true;
-  }
-  const snapshot::CheckpointPlan* plan =
-      need_checkpoint && !may_degrade ? rt.checkpoint_plan(mi) : nullptr;
+  EntryNeed need = need_for(pol.action);
+  for (const auto& rule : pol.exception_overrides)
+    need = std::max(need, need_for(rule.second));
 
   for (unsigned attempt = 0;; ++attempt) {
-    std::optional<snapshot::PartialSnapshot> partial;
-    std::optional<snapshot::Checkpoint> full;
-    snapshot::Snapshot shadow;  // validate_checkpoints shadow for partials
-    if (need_checkpoint) {
-      if (plan != nullptr) {
-        const std::uint64_t t0 = rt.trace.begin_span();
-        partial.emplace(snapshot::partial_capture(root, *plan));
-        if (partial->ok) {
-          ++rt.stats.partial_checkpoints;
-          rt.stats.checkpoint_units += partial->values.size();
-          rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
-                        partial->values.size());
-          if (rt.validate_checkpoints) shadow = snapshot::capture(root);
-        } else {
-          partial.reset();
-          ++rt.stats.partial_fallbacks;
-          rt.trace.instant(trace::EventKind::PartialFallback, &mi);
-        }
-      }
-      if (!partial) {
-        full.emplace(take_full_checkpoint(mi, root, rt));
-        rt.stats.checkpoint_units += full->units();
-      }
-    }
-
-    auto restore = [&] {
-      if (partial) {
-        {
-          EngineScope engine(rt);
-          snapshot::partial_restore(root, *partial, *plan);
-        }
-        ++rt.stats.rollbacks;
-        rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/1);
-        if (rt.validate_checkpoints) {
-          snapshot::Snapshot restored = snapshot::capture(root);
-          if (!shadow.equals(restored)) {
-            ++rt.stats.validator_divergences;
-            rt.trace.instant(trace::EventKind::Validator, &mi);
-          }
-        }
-      } else if (full) {
-        rollback_to(mi, root, *full, rt);
-      }
-      // Retry-without-rollback: nothing captured, nothing to restore — the
-      // atomicity proof is the checkpoint.
-    };
-
+    EntryGuard<Root> entry(mi, root, rt, need);
     try {
       maybe_inject_fault(mi, rt);
       if constexpr (std::is_void_v<R>) {
@@ -225,7 +311,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
       switch (pol.action_for(ex_type)) {
         case Action::Retry:
           if (attempt < pol.retry_budget) {
-            restore();
+            entry.restore();
             ++rt.stats.retry_attempts;
             rt.trace.span(trace::EventKind::Recovery, t0, &mi, attempt + 1,
                           "retry");
@@ -237,23 +323,23 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
             break;  // next attempt
           }
           // Budget exhausted: the policy's fallback is the paper's strategy.
-          restore();
+          entry.restore();
           ++rt.stats.retry_exhaustions;
           rt.trace.span(trace::EventKind::Recovery, t0, &mi, attempt,
                         "retry-exhausted");
           throw;
         case Action::Rollback:
-          restore();
+          entry.restore();
           ++rt.stats.policy_rollbacks;
           rt.trace.span(trace::EventKind::Recovery, t0, &mi, 0, "rollback");
           throw;
         case Action::RethrowAs:
-          restore();
+          entry.restore();
           ++rt.stats.transformed_rethrows;
           rt.trace.span(trace::EventKind::Recovery, t0, &mi, 0, "rethrow_as");
           throw recovery::ServiceError(ex_type, pol.rethrow_type);
         case Action::EarlyReturn:
-          restore();
+          entry.restore();
           if constexpr (kNeutralReturn) {
             ++rt.stats.early_returns;
             rt.trace.span(trace::EventKind::Recovery, t0, &mi, 0,
@@ -271,14 +357,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
           // Guarded failure-oblivious continuation: swallow ONLY when the
           // post-exception state equals the entry checkpoint — a
           // corrupted-state verdict is never masked.
-          bool intact = false;
-          if (full) {
-            snapshot::Checkpoint after = snapshot::Checkpoint::take(
-                root, full->backend(), &rt.arena_pool);
-            ++rt.stats.comparisons;
-            bool used_memcmp = false;
-            intact = full->equals(after, &used_memcmp);
-          }
+          const bool intact = entry.intact();
           if constexpr (kNeutralReturn) {
             if (intact) {
               ++rt.stats.degraded_calls;
@@ -290,7 +369,7 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
             }
           }
           if (!intact) {
-            restore();
+            entry.restore();
             ++rt.stats.degrade_refusals;
             rt.trace.span(trace::EventKind::Recovery, t0, &mi, 0,
                           "degrade-refused");
@@ -315,9 +394,7 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
   if constexpr (std::is_const_v<Root>) {
     // A const receiver cannot be rolled back (and cannot be mutated through
     // this path); run the body unwrapped.
-    (void)mi;
-    (void)root;
-    (void)rt;
+    (void)mi, (void)root, (void)rt;
     return body();
   } else {
     if (!rt.should_wrap(mi)) return body();
@@ -327,71 +404,12 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
     // table this path compiles to one memoized null check.
     if (const recovery::RecoveryPolicy* pol = rt.recovery_policy(mi))
       return recovered_call(mi, root, body, rt, *pol);
-    // Field-granular fast path (DESIGN.md §8): when the write-set analysis
-    // installed a partial plan for this method, capture only the planned
-    // leaves.  The walker handles tuple roots from invoke_with too (partial
-    // plans imply no parameter writes, so extra by-ref args only contribute
-    // walk structure).  Any walk-time surprise falls back to the full deep
-    // copy below.  No reflection traits are queried here: masked_call's
-    // deduced return type forces its body to instantiate at the FAT_INVOKE
-    // call site, which in subject layouts with trailing FAT_REFLECT blocks
-    // precedes the Reflect specialization — partial_capture/partial_restore
-    // have concrete return types, so their trait dispatch happens at the end
-    // of the translation unit, after every FAT_REFLECT.
-    const snapshot::CheckpointPlan* plan = rt.checkpoint_plan(mi);
-    if (rt.trace.enabled())
-      rt.trace.instant(trace::EventKind::PlanLookup, &mi, plan != nullptr);
-    if (plan != nullptr) {
-      const std::uint64_t t0 = rt.trace.begin_span();
-      snapshot::PartialSnapshot partial =
-          snapshot::partial_capture(root, *plan);
-      if (partial.ok) {
-        ++rt.stats.partial_checkpoints;
-        rt.stats.checkpoint_units += partial.values.size();
-        rt.trace.span(trace::EventKind::PartialCheckpoint, t0, &mi,
-                      partial.values.size());
-        snapshot::Snapshot shadow;
-        if (rt.validate_checkpoints) shadow = snapshot::capture(root);
-        try {
-          maybe_inject_fault(mi, rt);
-          return body();
-        } catch (...) {
-          {
-            EngineScope engine(rt);
-            snapshot::partial_restore(root, partial, *plan);
-          }
-          ++rt.stats.rollbacks;
-          rt.trace.instant(trace::EventKind::Rollback, &mi, /*partial=*/1);
-          if (rt.validate_checkpoints) {
-            snapshot::Snapshot restored = snapshot::capture(root);
-            if (!shadow.equals(restored)) {
-              ++rt.stats.validator_divergences;
-              rt.trace.instant(trace::EventKind::Validator, &mi);
-            }
-          }
-          throw;
-        }
-      }
-      ++rt.stats.partial_fallbacks;
-      rt.trace.instant(trace::EventKind::PartialFallback, &mi);
-    }
-    snapshot::Checkpoint checkpoint = take_full_checkpoint(mi, root, rt);
-    rt.stats.checkpoint_units += checkpoint.units();
-    // Oracle shadow: under validate_checkpoints every arena checkpoint is
-    // cross-checked against a graph capture of the same live state — the
-    // engine and its oracle must agree on what they recorded.
-    if (rt.validate_checkpoints &&
-        checkpoint.backend() == snapshot::BackendKind::Arena) {
-      if (!snapshot::capture(root).equals(checkpoint.graph())) {
-        ++rt.stats.validator_divergences;
-        rt.trace.instant(trace::EventKind::Validator, &mi, 0, "backend");
-      }
-    }
+    EntryGuard<Root> entry(mi, root, rt, EntryNeed::Planned);
     try {
       maybe_inject_fault(mi, rt);
       return body();
     } catch (...) {
-      rollback_to(mi, root, checkpoint, rt);
+      entry.restore();
       throw;
     }
   }
@@ -413,36 +431,13 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     ~DepthGuard() { --rt.depth; }
   } depth_guard(rt);
   snapshot::Checkpoint before = take_full_checkpoint(mi, root, rt);
-  const bool arena = before.backend() == snapshot::BackendKind::Arena;
-  // Verdict cross-check (shadow validator): under validate_checkpoints the
-  // graph oracle independently captures the same states and must reach the
-  // same atomic/non-atomic verdict as the arena compare.
-  snapshot::Snapshot before_shadow;
-  if (arena && rt.validate_checkpoints) before_shadow = snapshot::capture(root);
+  const snapshot::Snapshot before_shadow = oracle_shadow(mi, root, before, rt);
   try {
     return inner();
   } catch (...) {
-    const std::uint64_t c0 = rt.trace.begin_span();
-    snapshot::Checkpoint after =
-        snapshot::Checkpoint::take(root, before.backend(), &rt.arena_pool);
-    ++rt.stats.comparisons;
-    bool used_memcmp = false;
-    const bool atomic = before.equals(after, &used_memcmp);
-    if (arena) {
-      if (used_memcmp)
-        ++rt.stats.memcmp_compares;
-      else
-        ++rt.stats.compare_fallbacks;
-      rt.trace.span(trace::EventKind::ArenaCompare, c0, &mi,
-                    used_memcmp ? 1 : 0);
-      if (rt.validate_checkpoints &&
-          before_shadow.equals(snapshot::capture(root)) != atomic) {
-        ++rt.stats.validator_divergences;
-        rt.trace.instant(trace::EventKind::Validator, &mi, 0, "backend");
-      }
-    } else {
-      rt.trace.span(trace::EventKind::Compare, c0, &mi, atomic ? 1 : 0);
-    }
+    snapshot::Checkpoint after;
+    const bool atomic =
+        compare_with_entry(mi, root, before, before_shadow, rt, after);
     std::string detail;
     if (!atomic && rt.record_diffs)
       detail = snapshot::first_difference(before.graph(), after.graph());

@@ -84,6 +84,28 @@ ScopedRuntime::ScopedRuntime(Runtime& rt) : saved_(tl_current) {
 
 ScopedRuntime::~ScopedRuntime() { tl_current = saved_; }
 
+ScopedSettings::ScopedSettings(Runtime& rt)
+    : rt_(rt),
+      wrap_(rt.wrap_predicate()),
+      plans_(rt.checkpoint_plans()),
+      policies_(rt.recovery_policies()),
+      validate_checkpoints_(rt.validate_checkpoints),
+      record_diffs_(rt.record_diffs),
+      record_footprints_(rt.record_footprints),
+      provenance_(rt.provenance),
+      backend_(rt.checkpoint_backend) {}
+
+ScopedSettings::~ScopedSettings() {
+  rt_.set_wrap_predicate(std::move(wrap_));
+  rt_.set_checkpoint_plans(std::move(plans_));
+  rt_.set_recovery_policies(std::move(policies_));
+  rt_.validate_checkpoints = validate_checkpoints_;
+  rt_.record_diffs = record_diffs_;
+  rt_.record_footprints = record_footprints_;
+  rt_.provenance = provenance_;
+  rt_.checkpoint_backend = backend_;
+}
+
 ScopedMode::ScopedMode(Mode m) : saved_(Runtime::instance().mode()) {
   Runtime::instance().set_mode(m);
 }

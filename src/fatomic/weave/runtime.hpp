@@ -147,59 +147,42 @@ struct RuntimeStats {
   std::uint64_t policy_rollbacks = 0;
 };
 
+/// One row per RuntimeStats counter: the single field list the stats
+/// arithmetic below and the metrics registry ("stats.<name>") iterate.
+struct StatField {
+  const char* name;
+  std::uint64_t RuntimeStats::*field;
+};
+
+#define FATOMIC_STAT(f) StatField{#f, &RuntimeStats::f}
+inline constexpr StatField kStatFields[] = {
+    FATOMIC_STAT(snapshots_taken),      FATOMIC_STAT(comparisons),
+    FATOMIC_STAT(rollbacks),            FATOMIC_STAT(wrapped_calls),
+    FATOMIC_STAT(partial_checkpoints),  FATOMIC_STAT(partial_fallbacks),
+    FATOMIC_STAT(checkpoint_units),     FATOMIC_STAT(validator_divergences),
+    FATOMIC_STAT(arena_checkpoints),    FATOMIC_STAT(arena_bytes),
+    FATOMIC_STAT(memcmp_compares),      FATOMIC_STAT(compare_fallbacks),
+    FATOMIC_STAT(restore_errors),       FATOMIC_STAT(exceptions_thrown),
+    FATOMIC_STAT(faults_injected),      FATOMIC_STAT(retry_attempts),
+    FATOMIC_STAT(retry_successes),      FATOMIC_STAT(retry_exhaustions),
+    FATOMIC_STAT(degraded_calls),       FATOMIC_STAT(degrade_refusals),
+    FATOMIC_STAT(early_returns),        FATOMIC_STAT(transformed_rethrows),
+    FATOMIC_STAT(policy_rollbacks),
+};
+#undef FATOMIC_STAT
+static_assert(sizeof(kStatFields) / sizeof(StatField) ==
+                  sizeof(RuntimeStats) / sizeof(std::uint64_t),
+              "every RuntimeStats counter needs a kStatFields row");
+
 inline RuntimeStats& operator+=(RuntimeStats& a, const RuntimeStats& b) {
-  a.snapshots_taken += b.snapshots_taken;
-  a.comparisons += b.comparisons;
-  a.rollbacks += b.rollbacks;
-  a.wrapped_calls += b.wrapped_calls;
-  a.partial_checkpoints += b.partial_checkpoints;
-  a.partial_fallbacks += b.partial_fallbacks;
-  a.checkpoint_units += b.checkpoint_units;
-  a.validator_divergences += b.validator_divergences;
-  a.arena_checkpoints += b.arena_checkpoints;
-  a.arena_bytes += b.arena_bytes;
-  a.memcmp_compares += b.memcmp_compares;
-  a.compare_fallbacks += b.compare_fallbacks;
-  a.restore_errors += b.restore_errors;
-  a.exceptions_thrown += b.exceptions_thrown;
-  a.faults_injected += b.faults_injected;
-  a.retry_attempts += b.retry_attempts;
-  a.retry_successes += b.retry_successes;
-  a.retry_exhaustions += b.retry_exhaustions;
-  a.degraded_calls += b.degraded_calls;
-  a.degrade_refusals += b.degrade_refusals;
-  a.early_returns += b.early_returns;
-  a.transformed_rethrows += b.transformed_rethrows;
-  a.policy_rollbacks += b.policy_rollbacks;
+  for (const StatField& f : kStatFields) a.*f.field += b.*f.field;
   return a;
 }
 
 /// Counter deltas between two points of the same runtime's history
 /// (`after` must be a later observation than `before`).
 inline RuntimeStats operator-(RuntimeStats after, const RuntimeStats& before) {
-  after.snapshots_taken -= before.snapshots_taken;
-  after.comparisons -= before.comparisons;
-  after.rollbacks -= before.rollbacks;
-  after.wrapped_calls -= before.wrapped_calls;
-  after.partial_checkpoints -= before.partial_checkpoints;
-  after.partial_fallbacks -= before.partial_fallbacks;
-  after.checkpoint_units -= before.checkpoint_units;
-  after.validator_divergences -= before.validator_divergences;
-  after.arena_checkpoints -= before.arena_checkpoints;
-  after.arena_bytes -= before.arena_bytes;
-  after.memcmp_compares -= before.memcmp_compares;
-  after.compare_fallbacks -= before.compare_fallbacks;
-  after.restore_errors -= before.restore_errors;
-  after.exceptions_thrown -= before.exceptions_thrown;
-  after.faults_injected -= before.faults_injected;
-  after.retry_attempts -= before.retry_attempts;
-  after.retry_successes -= before.retry_successes;
-  after.retry_exhaustions -= before.retry_exhaustions;
-  after.degraded_calls -= before.degraded_calls;
-  after.degrade_refusals -= before.degrade_refusals;
-  after.early_returns -= before.early_returns;
-  after.transformed_rethrows -= before.transformed_rethrows;
-  after.policy_rollbacks -= before.policy_rollbacks;
+  for (const StatField& f : kStatFields) after.*f.field -= before.*f.field;
   return after;
 }
 
@@ -403,8 +386,33 @@ class ScopedRuntime {
   Runtime* saved_;
 };
 
-/// RAII helper that saves and restores the full runtime configuration —
-/// keeps experiments from leaking mode/predicate changes into each other.
+/// RAII: saves a runtime's campaign-scoped settings — wrap predicate,
+/// checkpoint plans, recovery policies, validator flag, diff / footprint /
+/// provenance flags and checkpoint backend — and puts them back on exit.
+/// Experiment::run and MaskedScope install their values inside one, so a
+/// nested scope (a mask-verify campaign launched from inside a MaskedScope)
+/// hands the outer settings back intact.
+class ScopedSettings {
+ public:
+  explicit ScopedSettings(Runtime& rt);
+  ~ScopedSettings();
+  ScopedSettings(const ScopedSettings&) = delete;
+  ScopedSettings& operator=(const ScopedSettings&) = delete;
+
+ private:
+  Runtime& rt_;
+  Runtime::WrapPredicate wrap_;
+  std::shared_ptr<const PlanMap> plans_;
+  std::shared_ptr<const recovery::PolicyTable> policies_;
+  bool validate_checkpoints_;
+  bool record_diffs_;
+  bool record_footprints_;
+  bool provenance_;
+  snapshot::BackendKind backend_;
+};
+
+/// RAII helper that saves and restores the runtime's mode — keeps
+/// experiments from leaking mode changes into each other.
 class ScopedMode {
  public:
   explicit ScopedMode(Mode m);

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "fatomic/analyze/static_report.hpp"
 #include "fatomic/detect/campaign.hpp"
@@ -17,6 +19,8 @@
 #include "fatomic/recovery/policy_io.hpp"
 #include "fatomic/report/json.hpp"
 #include "fatomic/report/json_parse.hpp"
+#include "fatomic/weave/invoke.hpp"
+#include "fatomic/weave/macros.hpp"
 #include "fatomic/weave/runtime.hpp"
 #include "subjects/apps/apps.hpp"
 #include "subjects/net/transport.hpp"
@@ -27,6 +31,8 @@ namespace detect = fatomic::detect;
 namespace mask = fatomic::mask;
 namespace recovery = fatomic::recovery;
 namespace report = fatomic::report;
+namespace snapshot = fatomic::snapshot;
+namespace trace = fatomic::trace;
 namespace weave = fatomic::weave;
 
 namespace {
@@ -53,12 +59,42 @@ weave::Runtime::WrapPredicate wrap_only(const std::string& method) {
   };
 }
 
+/// A receiver with a primitive leaf and a container: a plan capturing
+/// `total_` checkpoints partially, one capturing `log_` bails at walk time.
+class Tally {
+ public:
+  /// Writes total_ then throws — never atomic without a rollback.
+  void spoil(int by) {
+    FAT_INVOKE(spoil, [&] {
+      total_ += by;
+      throw std::runtime_error("spoil");
+    });
+  }
+  int total() const { return total_; }
+
+ private:
+  FAT_REFLECT_FRIEND(Tally);
+  FAT_METHOD_INFO(Tally, spoil);
+
+  int total_ = 0;
+  std::vector<int> log_{1, 2, 3};
+};
+
+}  // namespace
+
+// After the class, like the subject layouts: the entry guard's trait
+// dispatch must instantiate after this specialization.
+FAT_REFLECT(Tally, FAT_FIELD(Tally, total_), FAT_FIELD(Tally, log_));
+
+namespace {
+
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override { weave::Runtime::instance().stats = {}; }
 
   void TearDown() override {
     auto& rt = weave::Runtime::instance();
+    rt.trace.disable();
     rt.set_mode(weave::Mode::Direct);
     rt.set_wrap_predicate(nullptr);
     rt.set_recovery_policies(nullptr);
@@ -339,6 +375,35 @@ TEST_F(RecoveryTest, DegradeSwallowsOnlyWhenStateIsIntact) {
   EXPECT_EQ(rt.stats.degrade_refusals, 0u);
 }
 
+TEST_F(RecoveryTest, DegradeComparesAreCountedLikeInjectedCallCompares) {
+  auto& rt = weave::Runtime::instance();
+  recovery::RecoveryPolicy pol;
+  pol.action = recovery::Action::Degrade;
+  mask::MaskedScope scope(
+      wrap_only("synthetic::Account::safe_withdraw"), nullptr,
+      /*validate=*/true, one_policy("synthetic::Account::safe_withdraw", pol));
+  synthetic::Account a;
+  a.set(5);
+  rt.stats = {};
+  rt.trace.enable(0);
+  rt.trace.take(0);
+  EXPECT_NO_THROW(a.safe_withdraw(100));
+  const auto events = rt.trace.take(0);
+  EXPECT_EQ(rt.stats.degraded_calls, 1u);
+  // The degrade guard is an arena compare like the injection wrapper's:
+  // it reports how the arena decided and is checked against the oracle.
+  EXPECT_EQ(rt.stats.comparisons, 1u);
+  EXPECT_EQ(rt.stats.comparisons,
+            rt.stats.memcmp_compares + rt.stats.compare_fallbacks);
+  EXPECT_EQ(rt.stats.validator_divergences, 0u);
+#ifndef FATOMIC_TRACE_DISABLED
+  std::size_t arena_compares = 0;
+  for (const trace::Event& e : events)
+    if (e.kind == trace::EventKind::ArenaCompare) ++arena_compares;
+  EXPECT_EQ(arena_compares, 1u);
+#endif
+}
+
 TEST_F(RecoveryTest, DegradeNeverMasksACorruptedStateVerdict) {
   auto& rt = weave::Runtime::instance();
   recovery::RecoveryPolicy pol;
@@ -415,6 +480,71 @@ TEST_F(RecoveryTest, EmptyTableKeepsTheLegacyMaskedPath) {
   EXPECT_EQ(rt.stats.retry_attempts, 0u);
   EXPECT_EQ(rt.stats.degraded_calls, 0u);
   EXPECT_GT(rt.stats.rollbacks, 0u) << "the legacy path still rolled back";
+}
+
+namespace {
+
+/// What one throwing Tally::spoil call did to the checkpoint machinery.
+struct SpoilTrace {
+  weave::RuntimeStats stats;
+  std::vector<std::string> kinds;  ///< every event but Recovery spans
+};
+
+SpoilTrace spoil_once(std::shared_ptr<const weave::PlanMap> plans,
+                      std::shared_ptr<const recovery::PolicyTable> policies) {
+  auto& rt = weave::Runtime::instance();
+  mask::MaskedScope scope(wrap_only("Tally::spoil"), std::move(plans),
+                          /*validate=*/true, std::move(policies));
+  Tally t;
+  rt.stats = {};
+  rt.trace.enable(0);
+  rt.trace.take(0);
+  EXPECT_THROW(t.spoil(5), std::runtime_error);
+  EXPECT_EQ(t.total(), 0) << "both paths must roll back";
+  SpoilTrace out{rt.stats, {}};
+  for (const trace::Event& e : rt.trace.take(0))
+    if (e.kind != trace::EventKind::Recovery)
+      out.kinds.emplace_back(trace::to_string(e.kind));
+  rt.trace.disable();
+  return out;
+}
+
+}  // namespace
+
+TEST_F(RecoveryTest, RollbackPolicyCheckpointsLikeTheClassicPath) {
+  // The same throwing call through the classic atomicity wrapper (no table)
+  // and through a Rollback policy must take, validate and restore the same
+  // entry checkpoint: a partial plan, a plan whose walk bails (a container
+  // named as a leaf) and no plan at all.
+  auto plan_capturing = [](const std::string& field) {
+    snapshot::CheckpointPlan plan;
+    plan.partial = true;
+    plan.capture = {field};
+    auto plans = std::make_shared<weave::PlanMap>();
+    (*plans)["Tally::spoil"] = plan;
+    return std::shared_ptr<const weave::PlanMap>(std::move(plans));
+  };
+  struct Case {
+    std::shared_ptr<const weave::PlanMap> plans;
+    std::uint64_t partial_checkpoints, partial_fallbacks;
+  };
+  const Case cases[] = {{plan_capturing("total_"), 1, 0},
+                        {plan_capturing("log_"), 0, 1},
+                        {nullptr, 0, 0}};
+  for (const Case& c : cases) {
+    const SpoilTrace classic = spoil_once(c.plans, nullptr);
+    const SpoilTrace policy = spoil_once(
+        c.plans, one_policy("Tally::spoil", recovery::RecoveryPolicy{}));
+    EXPECT_EQ(classic.stats.partial_checkpoints, c.partial_checkpoints);
+    EXPECT_EQ(classic.stats.partial_fallbacks, c.partial_fallbacks);
+    weave::RuntimeStats expected = classic.stats;
+    expected.policy_rollbacks = 1;
+    for (const weave::StatField& f : weave::kStatFields)
+      EXPECT_EQ(policy.stats.*f.field, expected.*f.field) << f.name;
+    EXPECT_EQ(policy.kinds, classic.kinds);
+    EXPECT_EQ(classic.stats.rollbacks, 1u);
+    EXPECT_EQ(classic.stats.validator_divergences, 0u);
+  }
 }
 
 // --- report round trip ------------------------------------------------------
