@@ -13,17 +13,21 @@
 //      --policy-file JSON codec as a self-check.
 //   2. N threads each own a Server and a thread-local Runtime configured
 //      like a deployment: Mask mode, wrap-server predicate, write-set
-//      checkpoint plans, the policy table, the completeness validator and a
-//      fault every kFaultPeriod-th wrapped attempt.
+//      checkpoint plans, the policy table and a fault every
+//      kFaultPeriod-th wrapped attempt.  The completeness validator (a
+//      debug shadow, not part of the deployed wrapper) stays off here.
 //   3. Each thread serves kRequests requests (every kOrganicEvery-th one
 //      deliberately empty — the organic failure).  Latency is sampled per
 //      request; per-policy recovery latency comes from the Recovery trace
 //      spans.
+//   4. One untimed pass serves the same load on one thread with the
+//      completeness validator on, so a checkpoint divergence still fails the
+//      bench without the shadow captures skewing the timed storm.
 //
 // Gates (exit 1 when any fails):
 //   - zero state corruption: every Server's uninstrumented invariants_hold()
-//     validator passes after the storm, zero checkpoint-validator
-//     divergences, zero mid-replay restore errors;
+//     validator passes after the storm and the validator pass, zero
+//     checkpoint-validator divergences, zero mid-replay restore errors;
 //   - bounded error rate: no request fails with an exception (every
 //     transient fault is healed or neutralized) and degraded responses stay
 //     under kMaxErrorRate;
@@ -93,7 +97,8 @@ double percentile_us(std::vector<std::uint64_t>& sorted, double p) {
 
 ThreadResult serve_storm(unsigned ordinal, int requests,
                          std::shared_ptr<const weave::PlanMap> plans,
-                         std::shared_ptr<const recovery::PolicyTable> table) {
+                         std::shared_ptr<const recovery::PolicyTable> table,
+                         bool validate) {
   ThreadResult out;
   // Each load-generator thread gets its own thread-local Runtime —
   // configure it like a deployment, not a campaign.
@@ -104,7 +109,7 @@ ThreadResult serve_storm(unsigned ordinal, int requests,
   });
   rt.set_checkpoint_plans(std::move(plans));
   rt.set_recovery_policies(std::move(table));
-  rt.validate_checkpoints = true;
+  rt.validate_checkpoints = validate;
   rt.trace.enable(0);
   rt.trace.set_worker(static_cast<std::uint16_t>(ordinal));
 
@@ -144,6 +149,7 @@ ThreadResult serve_storm(unsigned ordinal, int requests,
   rt.set_recovery_policies(nullptr);
   rt.set_checkpoint_plans(nullptr);
   rt.set_wrap_predicate(nullptr);
+  rt.validate_checkpoints = false;
   rt.set_mode(weave::Mode::Direct);
   return out;
 }
@@ -193,12 +199,17 @@ int main(int argc, char** argv) {
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t)
       threads.emplace_back([&, t] {
-        results[t] = serve_storm(t, requests, plans, shared_table);
+        results[t] = serve_storm(t, requests, plans, shared_table,
+                                 /*validate=*/false);
       });
     for (auto& th : threads) th.join();
   }
   const double storm_s =
       std::chrono::duration<double>(Clock::now() - storm0).count();
+
+  // 4. The untimed validator pass.
+  const ThreadResult validated =
+      serve_storm(0, requests, plans, shared_table, /*validate=*/true);
 
   // Aggregate.
   ThreadResult total;
@@ -234,8 +245,9 @@ int main(int argc, char** argv) {
       storm_s > 0 ? static_cast<double>(total_requests) / storm_s : 0.0;
 
   // Gates.
-  const bool no_corruption = total.invariants &&
-                             total.stats.validator_divergences == 0 &&
+  const bool no_corruption = total.invariants && validated.invariants &&
+                             validated.stats.validator_divergences == 0 &&
+                             validated.stats.restore_errors == 0 &&
                              total.stats.restore_errors == 0;
   const bool bounded_errors = total.failed == 0 && error_rate <= kMaxErrorRate;
   const bool recovered = total.stats.retry_successes > 0 &&
@@ -261,11 +273,13 @@ int main(int argc, char** argv) {
       recovery_rate,
       static_cast<unsigned long long>(total.stats.early_returns));
   std::printf(
-      "state: invariants %s, %llu validator divergences, %llu restore "
-      "errors; latency p50 %.1fus p99 %.1fus; policy codec roundtrip %s\n",
-      total.invariants ? "held" : "VIOLATED",
-      static_cast<unsigned long long>(total.stats.validator_divergences),
+      "state: invariants %s, %llu restore errors; validator pass: %llu "
+      "divergences, %llu restore errors; latency p50 %.1fus p99 %.1fus; "
+      "policy codec roundtrip %s\n",
+      total.invariants && validated.invariants ? "held" : "VIOLATED",
       static_cast<unsigned long long>(total.stats.restore_errors),
+      static_cast<unsigned long long>(validated.stats.validator_divergences),
+      static_cast<unsigned long long>(validated.stats.restore_errors),
       percentile_us(total.latency_ns, 0.50),
       percentile_us(total.latency_ns, 0.99), roundtrip ? "ok" : "FAILED");
   if (!ok) std::printf("GATE FAILED\n");

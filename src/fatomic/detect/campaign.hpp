@@ -94,4 +94,11 @@ struct Campaign {
   }
 };
 
+/// The first difference between two campaigns' run records — threshold,
+/// injection, escape, and per mark the method, atomic flag, depth and
+/// exception type — or "" when every run matches.  Backend parity and
+/// prefix elision are held to this: an elided campaign must record exactly
+/// the marks of the unelided graph oracle.
+std::string first_run_mismatch(const Campaign& a, const Campaign& b);
+
 }  // namespace fatomic::detect

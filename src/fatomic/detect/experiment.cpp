@@ -5,8 +5,10 @@
 #include <chrono>
 #include <exception>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,6 +22,37 @@ std::size_t Campaign::distinct_classes() const {
   std::set<std::string> classes;
   for (const auto& [mi, count] : call_counts) classes.insert(mi->class_name());
   return classes.size();
+}
+
+std::string first_run_mismatch(const Campaign& a, const Campaign& b) {
+  auto name = [](const weave::MethodInfo* mi) {
+    return mi != nullptr ? mi->qualified_name() : std::string("-");
+  };
+  if (a.runs.size() != b.runs.size())
+    return std::to_string(a.runs.size()) + " vs " +
+           std::to_string(b.runs.size()) + " runs";
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const RunRecord& x = a.runs[i];
+    const RunRecord& y = b.runs[i];
+    const std::string where = "run " + std::to_string(x.injection_point);
+    if (x.injection_point != y.injection_point || x.injected != y.injected ||
+        x.injected_method != y.injected_method ||
+        x.injected_exception != y.injected_exception ||
+        x.escaped != y.escaped)
+      return where + ": injection or escape differs";
+    if (x.marks.size() != y.marks.size())
+      return where + ": " + std::to_string(x.marks.size()) + " vs " +
+             std::to_string(y.marks.size()) + " marks";
+    for (std::size_t j = 0; j < x.marks.size(); ++j) {
+      const weave::Mark& m = x.marks[j];
+      const weave::Mark& n = y.marks[j];
+      if (m.method != n.method || m.atomic != n.atomic ||
+          m.depth != n.depth || m.exception_type != n.exception_type)
+        return where + ", mark " + std::to_string(j) + ": " + name(m.method) +
+               " vs " + name(n.method);
+    }
+  }
+  return "";
 }
 
 Experiment::Experiment(std::function<void()> program, CampaignSettings opts)
@@ -177,23 +210,12 @@ Campaign Experiment::run() {
   unwind::ScopedArm arm(provenance);
   rt.provenance = provenance;
 
-  // With static pruning requested, the baseline additionally records the
-  // call stack at every wrapped call — one stack per injection-point group,
-  // in the exact order the injector's point counter visits them.
-  struct SiteFlag {
-    weave::Runtime& rt;
-    bool saved;
-    ~SiteFlag() {
-      rt.record_call_sites = saved;
-      rt.call_sites.clear();
-    }
-  } site_flag{rt, rt.record_call_sites};
-  rt.record_call_sites = !opts_.prune_atomic.empty();
-
-  // Baseline: call counts of the original program (Figures 2b / 3b).  A
-  // program that escapes an exception even uninjected still yields a
-  // baseline — the counts observed up to the escape — and its terminal
-  // injector run records the escape (see absorb()).
+  // Baseline: call counts of the original program (Figures 2b / 3b) and
+  // its call table, one entry per instrumented call.  A program that
+  // escapes an exception even uninjected still yields a baseline — the
+  // counts observed up to the escape — and its terminal injector run
+  // records the escape (see absorb()).
+  std::shared_ptr<const weave::BaselineTable> baseline;
   {
     weave::ScopedMode mode(weave::Mode::Count);
     rt.reset_counts();
@@ -204,35 +226,39 @@ Campaign Experiment::run() {
     }
     campaign.call_counts = rt.call_counts;
     campaign.call_edges = rt.call_edges;
+    baseline = std::make_shared<const weave::BaselineTable>(
+        std::move(rt.call_log));
+    rt.call_log.clear();
     rt.trace.span(trace::EventKind::Baseline, baseline_t0, nullptr,
                   campaign.total_calls());
   }
 
-  // Map thresholds to statically skippable runs.  Each wrapped call fires
-  // one injection point per exception spec of its innermost method
-  // (declared first, then the runtime exceptions — fire_injection_points),
-  // so the k-th recorded stack covers a contiguous block of thresholds.  A
-  // threshold is skippable when every frame with a receiver on its stack is
-  // statically proven atomic: the run could only produce atomic marks for
-  // already-proven methods (frames without a receiver never produce marks),
-  // leaving the classification sets unchanged.  DESIGN.md §7.
+  // Map thresholds to statically skippable runs.  Baseline call k fires one
+  // injection point per exception spec of its method (declared first, then
+  // the runtime exceptions — fire_injection_points), thresholds entry+1 ..
+  // entry+#specs.  A threshold is skippable when every frame with a receiver
+  // on the stack at that call is statically proven atomic: the run could
+  // only produce atomic marks for already-proven methods (frames without a
+  // receiver never produce marks), leaving the classification sets
+  // unchanged.  A call's parent precedes it in the table, so one pass in
+  // call order settles every stack.  DESIGN.md §7.
   std::vector<bool> prunable;
   if (!opts_.prune_atomic.empty()) {
     prunable.assign(1, false);  // thresholds are 1-based
     const std::size_t runtime_specs = rt.runtime_exceptions().size();
-    for (const auto& stack : rt.call_sites) {
-      const std::size_t specs = stack.back()->declared().size() + runtime_specs;
-      bool skippable = true;
-      for (const weave::MethodInfo* frame : stack) {
-        if (!frame->has_receiver()) continue;
-        if (opts_.prune_atomic.count(frame->qualified_name()) == 0) {
-          skippable = false;
-          break;
-        }
-      }
-      prunable.insert(prunable.end(), specs, skippable);
+    std::vector<bool> proven_stack(baseline->size());
+    for (std::size_t k = 0; k < baseline->size(); ++k) {
+      const weave::BaselineCall& call = (*baseline)[k];
+      const bool proven =
+          !call.method->has_receiver() ||
+          opts_.prune_atomic.count(call.method->qualified_name()) != 0;
+      proven_stack[k] =
+          proven && (call.parent == weave::BaselineCall::kTopLevel ||
+                     proven_stack[call.parent]);
+      prunable.insert(prunable.end(),
+                      call.method->declared().size() + runtime_specs,
+                      proven_stack[k]);
     }
-    rt.call_sites.clear();
   }
 
   // Campaign-scope events recorded so far (the baseline span) open the
@@ -255,6 +281,14 @@ Campaign Experiment::run() {
   rt.record_diffs = opts_.record_diffs;
   rt.record_footprints = opts_.record_footprints;
   rt.checkpoint_backend = opts_.backend;
+  // Prefix checkpoint elision (DESIGN.md §7) relies on every run following
+  // the baseline up to its threshold.  The graph oracle keeps Listing 1's
+  // capture on every call, so backend parity checks the elided engine
+  // against the unelided wrapper; production faults break the determinism.
+  rt.set_prefix_baseline(opts_.backend == snapshot::BackendKind::Arena &&
+                                 rt.fault_period == 0
+                             ? std::move(baseline)
+                             : nullptr);
 
   unsigned jobs = opts_.jobs != 0 ? opts_.jobs
                                   : std::max(1u, std::thread::hardware_concurrency());

@@ -67,9 +67,9 @@ struct CampaignSettings {
 
   /// Static campaign pruning (analyze::StaticReport::prune_set feeds this):
   /// qualified names of methods the static analysis proved failure atomic.
-  /// The Count baseline additionally records the call stack at every
-  /// injection point; a threshold whose entire stack consists of methods in
-  /// this set is skipped — the run could only produce atomic marks for
+  /// The Count baseline's call table maps every threshold to the call stack
+  /// at its injection point; a threshold whose entire stack consists of
+  /// methods in this set is skipped — the run could only produce atomic marks for
   /// methods already known atomic, so the resulting classification sets are
   /// unchanged while the campaign executes fewer injector runs.  Empty set =
   /// no pruning.  Soundness argument: DESIGN.md §7.

@@ -188,6 +188,9 @@ std::string campaign_json(const detect::Campaign& campaign) {
      << ",\"memcmp_compares\":" << campaign.stats.memcmp_compares
      << ",\"compare_fallbacks\":" << campaign.stats.compare_fallbacks
      << ",\"restore_errors\":" << campaign.stats.restore_errors
+     << ",\"elided_captures\":" << campaign.stats.elided_captures
+     << ",\"elision_fallbacks\":" << campaign.stats.elision_fallbacks
+     << ",\"elision_misses\":" << campaign.stats.elision_misses
      << "},\"recovery\":{\"faults_injected\":" << campaign.stats.faults_injected
      << ",\"retry_attempts\":" << campaign.stats.retry_attempts
      << ",\"retry_successes\":" << campaign.stats.retry_successes

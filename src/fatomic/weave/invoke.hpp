@@ -4,6 +4,8 @@
 //   Inject      — the paper's injection wrapper (Listing 1): fire injection
 //                 points, deep-copy the receiver, call, and on an exception
 //                 compare object graphs, mark atomic/non-atomic, rethrow.
+//                 Calls the baseline shows returning before the run's
+//                 threshold skip the copy (prefix elision, DESIGN.md §7).
 //   Mask        — the paper's atomicity wrapper (Listing 2): checkpoint,
 //                 call, roll back and rethrow on exception (only for methods
 //                 selected by the wrap predicate).
@@ -15,6 +17,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <exception>
 #include <thread>
 #include <tuple>
 #include <type_traits>
@@ -268,7 +272,8 @@ inline void maybe_inject_fault(const MethodInfo& mi, Runtime& rt) {
 template <class Root, class Fn>
 std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
                                          Fn& body, Runtime& rt,
-                                         const recovery::RecoveryPolicy& pol) {
+                                         const recovery::RecoveryPolicy& pol,
+                                         bool elide) {
   using recovery::Action;
   using R = std::invoke_result_t<Fn&>;
   // early_return / degrade can only synthesize a neutral result for void or
@@ -277,23 +282,30 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
       std::is_void_v<R> ||
       (std::is_default_constructible_v<R> && !std::is_reference_v<R>);
 
-  // Which recovery paths this policy can reach decides the entry state every
-  // attempt takes.  Only retry-without-rollback (statically proven atomic
+  // Which recovery paths this policy can reach decides the entry state the
+  // call takes.  Only retry-without-rollback (statically proven atomic
   // methods) runs checkpoint-free; degrade needs a *full* entry checkpoint
   // because its guard is a whole-state compare, which a partial
-  // (plan-scoped) snapshot cannot answer.
+  // (plan-scoped) snapshot cannot answer.  An elided call never sees an
+  // exception, so it takes none.
   auto need_for = [&](Action a) {
     if (a == Action::Degrade) return EntryNeed::Full;
     return a == Action::Retry && !pol.rollback_before_retry
                ? EntryNeed::None
                : EntryNeed::Planned;
   };
-  EntryNeed need = need_for(pol.action);
-  for (const auto& rule : pol.exception_overrides)
-    need = std::max(need, need_for(rule.second));
+  EntryNeed need = EntryNeed::None;
+  if (!elide) {
+    need = need_for(pol.action);
+    for (const auto& rule : pol.exception_overrides)
+      need = std::max(need, need_for(rule.second));
+  }
 
+  // One checkpoint serves every attempt: a retry restores the receiver to
+  // exactly the checkpointed state, so re-capturing it would copy the same
+  // state again.
+  EntryGuard<Root> entry(mi, root, rt, need);
   for (unsigned attempt = 0;; ++attempt) {
-    EntryGuard<Root> entry(mi, root, rt, need);
     try {
       maybe_inject_fault(mi, rt);
       if constexpr (std::is_void_v<R>) {
@@ -387,14 +399,16 @@ std::invoke_result_t<Fn&> recovered_call(const MethodInfo& mi, Root& root,
 }
 
 /// Atomicity wrapper around `body` for checkpoint root `root` (the receiver,
-/// or a tuple of receiver + by-reference arguments).
+/// or a tuple of receiver + by-reference arguments).  `elide` is set for a
+/// call prefix elision proved exception-free: it keeps the wrapper but
+/// takes no checkpoint.
 template <class Root, class Fn>
 decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
-                           Runtime& rt) {
+                           Runtime& rt, bool elide = false) {
   if constexpr (std::is_const_v<Root>) {
     // A const receiver cannot be rolled back (and cannot be mutated through
     // this path); run the body unwrapped.
-    (void)mi, (void)root, (void)rt;
+    (void)mi, (void)root, (void)rt, (void)elide;
     return body();
   } else {
     if (!rt.should_wrap(mi)) return body();
@@ -403,8 +417,9 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
     // policy routes through the action the evidence selected; without a
     // table this path compiles to one memoized null check.
     if (const recovery::RecoveryPolicy* pol = rt.recovery_policy(mi))
-      return recovered_call(mi, root, body, rt, *pol);
-    EntryGuard<Root> entry(mi, root, rt, EntryNeed::Planned);
+      return recovered_call(mi, root, body, rt, *pol, elide);
+    EntryGuard<Root> entry(mi, root, rt,
+                           elide ? EntryNeed::None : EntryNeed::Planned);
     try {
       maybe_inject_fault(mi, rt);
       return body();
@@ -415,14 +430,65 @@ decltype(auto) masked_call(const MethodInfo& mi, Root& root, Fn&& body,
   }
 }
 
+/// Prefix checkpoint elision (DESIGN.md §7): advances the run's cursor in
+/// the baseline table and returns the baseline entry of this call when its
+/// checkpoints can never be read — the call matches entry k, returns below
+/// the threshold and no exception crossed it in the baseline.  Runs before
+/// the call's injection points fire.  The first call that departs from the
+/// table before the threshold counts a fallback and ends elision for the
+/// run; at or past the threshold nothing more can be elided.
+inline const BaselineCall* prefix_elision(const MethodInfo& mi, Runtime& rt) {
+  if (!rt.elision_live) return nullptr;
+  const BaselineTable& table = *rt.prefix_baseline();
+  const std::size_t k = rt.call_index++;
+  if (rt.point >= rt.injection_point) {
+    rt.elision_live = false;
+    return nullptr;
+  }
+  if (k >= table.size() || table[k].method != &mi ||
+      table[k].entry != rt.point) {
+    rt.elision_live = false;
+    ++rt.stats.elision_fallbacks;
+    return nullptr;
+  }
+  const BaselineCall& call = table[k];
+  if (call.threw || call.exit >= rt.injection_point) return nullptr;
+  return &call;
+}
+
+/// RAII over an elided call: an exception leaving it is a determinism
+/// violation (the wrapper has no entry capture to mark with), and a return
+/// at another counter value than the baseline's departs from the table.
+/// Either ends elision for the run; neither is dropped silently.
+struct ElidedFrame {
+  Runtime& rt;
+  const BaselineCall& call;
+  const int uncaught = std::uncaught_exceptions();
+  ElidedFrame(Runtime& r, const BaselineCall& c) : rt(r), call(c) {
+    ++rt.stats.elided_captures;
+  }
+  ~ElidedFrame() {
+    if (std::uncaught_exceptions() > uncaught) {
+      ++rt.stats.elision_misses;
+      rt.elision_live = false;
+    } else if (rt.elision_live && rt.point != call.exit) {
+      ++rt.stats.elision_fallbacks;
+      rt.elision_live = false;
+    }
+  }
+  ElidedFrame(const ElidedFrame&) = delete;
+  ElidedFrame& operator=(const ElidedFrame&) = delete;
+};
+
 /// Injection wrapper (Listing 1).  With mask_inner, the atomicity wrapper
 /// runs inside the injection wrapper, mirroring the paper's P_C-under-test.
 template <class Root, class Fn>
 decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
                              Runtime& rt, bool mask_inner) {
+  const BaselineCall* elided = prefix_elision(mi, rt);
   fire_injection_points(mi, rt);  // may throw into our caller's wrapper
   auto inner = [&]() -> decltype(auto) {
-    if (mask_inner) return masked_call(mi, root, body, rt);
+    if (mask_inner) return masked_call(mi, root, body, rt, elided != nullptr);
     return body();
   };
   struct DepthGuard {
@@ -430,6 +496,10 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
     explicit DepthGuard(Runtime& r) : rt(r) { ++rt.depth; }
     ~DepthGuard() { --rt.depth; }
   } depth_guard(rt);
+  if (elided != nullptr) {
+    ElidedFrame frame(rt, *elided);
+    return inner();
+  }
   snapshot::Checkpoint before = take_full_checkpoint(mi, root, rt);
   const snapshot::Snapshot before_shadow = oracle_shadow(mi, root, before, rt);
   try {
@@ -475,18 +545,33 @@ decltype(auto) injected_call(const MethodInfo& mi, Root& root, Fn&& body,
 }
 
 /// RAII frame on the Count-mode call stack; records the dynamic call-graph
-/// edge from the current top of stack (nullptr = program top level).
+/// edge from the current top of stack (nullptr = program top level) and the
+/// call's baseline-table entry.  The point counter advances by the call's
+/// spec count, exactly as fire_injection_points advances it in an injector
+/// run, so entry and exit are the thresholds the injector will see.
 struct CountFrame {
   Runtime& rt;
-  explicit CountFrame(Runtime& r, const MethodInfo& mi) : rt(r) {
+  const std::uint32_t index;
+  const int uncaught = std::uncaught_exceptions();
+  explicit CountFrame(Runtime& r, const MethodInfo& mi)
+      : rt(r), index(static_cast<std::uint32_t>(r.call_log.size())) {
     ++rt.call_counts[&mi];
-    const MethodInfo* caller =
-        rt.call_stack.empty() ? nullptr : rt.call_stack.back();
+    const std::uint32_t parent =
+        rt.call_stack.empty() ? BaselineCall::kTopLevel : rt.call_stack.back();
+    const MethodInfo* caller = parent == BaselineCall::kTopLevel
+                                   ? nullptr
+                                   : rt.call_log[parent].method;
     ++rt.call_edges[{caller, &mi}];
-    rt.call_stack.push_back(&mi);
-    if (rt.record_call_sites) rt.call_sites.push_back(rt.call_stack);
+    rt.call_log.push_back({&mi, rt.point, 0, parent, false});
+    rt.point += mi.declared().size() + rt.runtime_exceptions().size();
+    rt.call_stack.push_back(index);
   }
-  ~CountFrame() { rt.call_stack.pop_back(); }
+  ~CountFrame() {
+    BaselineCall& call = rt.call_log[index];
+    call.exit = rt.point;
+    call.threw = std::uncaught_exceptions() > uncaught;
+    rt.call_stack.pop_back();
+  }
 };
 
 template <class Root, class Fn>
@@ -552,9 +637,11 @@ decltype(auto) invoke_static(const MethodInfo& mi, Fn&& body) {
       return body();
     }
     case Mode::Inject:
+      detail::prefix_elision(mi, rt);  // keeps the table cursor in step
       detail::fire_injection_points(mi, rt);
       return body();
     case Mode::InjectMask:
+      detail::prefix_elision(mi, rt);
       detail::fire_injection_points(mi, rt);
       count_wrapped();
       return body();

@@ -35,6 +35,8 @@ void Runtime::begin_run(std::uint64_t threshold) {
   depth = 0;
   marks.clear();
   last_throw_serial = 0;
+  call_index = 0;
+  elision_live = baseline_ != nullptr;
   trace.set_run(threshold);
 }
 
@@ -49,6 +51,7 @@ void Runtime::adopt_config(const Runtime& src) {
   plan_memo_.clear();
   policies_ = src.policies_;
   policy_memo_.clear();
+  baseline_ = src.baseline_;
   fault_period = src.fault_period;
   validate_checkpoints = src.validate_checkpoints;
   checkpoint_backend = src.checkpoint_backend;
@@ -89,6 +92,7 @@ ScopedSettings::ScopedSettings(Runtime& rt)
       wrap_(rt.wrap_predicate()),
       plans_(rt.checkpoint_plans()),
       policies_(rt.recovery_policies()),
+      baseline_(rt.prefix_baseline()),
       validate_checkpoints_(rt.validate_checkpoints),
       record_diffs_(rt.record_diffs),
       record_footprints_(rt.record_footprints),
@@ -99,6 +103,7 @@ ScopedSettings::~ScopedSettings() {
   rt_.set_wrap_predicate(std::move(wrap_));
   rt_.set_checkpoint_plans(std::move(plans_));
   rt_.set_recovery_policies(std::move(policies_));
+  rt_.set_prefix_baseline(std::move(baseline_));
   rt_.validate_checkpoints = validate_checkpoints_;
   rt_.record_diffs = record_diffs_;
   rt_.record_footprints = record_footprints_;

@@ -80,6 +80,27 @@ struct Mark {
   std::vector<std::string> footprint;
 };
 
+/// One instrumented call of the Count-mode baseline.  The baseline table
+/// holds one entry per call in call order; the campaign shares it read-only
+/// with its injector runs for prefix checkpoint elision and derives the
+/// static-pruning thresholds from it (DESIGN.md §7).
+struct BaselineCall {
+  static constexpr std::uint32_t kTopLevel = 0xffffffffu;
+  const MethodInfo* method = nullptr;
+  /// Injection-point counter when the call was entered, before its own
+  /// points fire: the call fires points entry+1 .. entry+#specs.
+  std::uint64_t entry = 0;
+  /// Counter when the call returned or unwound: every point fired inside
+  /// the call is <= exit.
+  std::uint64_t exit = 0;
+  /// Index of the enclosing call, kTopLevel for a top-level call.
+  std::uint32_t parent = kTopLevel;
+  /// An exception crossed the frame (std::uncaught_exceptions at exit
+  /// exceeded its value at entry).
+  bool threw = false;
+};
+using BaselineTable = std::vector<BaselineCall>;
+
 struct RuntimeStats {
   std::uint64_t snapshots_taken = 0;
   std::uint64_t comparisons = 0;
@@ -145,6 +166,18 @@ struct RuntimeStats {
   /// Rollback-and-rethrow recoveries performed *by the policy engine* (the
   /// engine-off path counts its rollbacks in `rollbacks` alone).
   std::uint64_t policy_rollbacks = 0;
+  // --- prefix checkpoint elision (DESIGN.md §7) ----------------------------
+  /// Injection-wrapper entry captures skipped because the Count baseline
+  /// shows the call returns before the run's threshold with no exception
+  /// crossing it (an InjectMask campaign skips the nested atomicity
+  /// wrapper's checkpoint for the same calls).
+  std::uint64_t elided_captures = 0;
+  /// Runs whose call sequence left the baseline table before the
+  /// threshold: elision switched off for the rest of the run.
+  std::uint64_t elision_fallbacks = 0;
+  /// Exceptions that crossed an elided wrapper — a determinism violation:
+  /// the wrapper had no entry capture to mark the method with.
+  std::uint64_t elision_misses = 0;
 };
 
 /// One row per RuntimeStats counter: the single field list the stats
@@ -167,7 +200,8 @@ inline constexpr StatField kStatFields[] = {
     FATOMIC_STAT(retry_successes),      FATOMIC_STAT(retry_exhaustions),
     FATOMIC_STAT(degraded_calls),       FATOMIC_STAT(degrade_refusals),
     FATOMIC_STAT(early_returns),        FATOMIC_STAT(transformed_rethrows),
-    FATOMIC_STAT(policy_rollbacks),
+    FATOMIC_STAT(policy_rollbacks),     FATOMIC_STAT(elided_captures),
+    FATOMIC_STAT(elision_fallbacks),    FATOMIC_STAT(elision_misses),
 };
 #undef FATOMIC_STAT
 static_assert(sizeof(kStatFields) / sizeof(StatField) ==
@@ -249,9 +283,10 @@ class Runtime {
   void begin_run(std::uint64_t threshold);
 
   /// Copies the campaign configuration — mode, wrap predicate, generic
-  /// runtime exception set, diff recording — from `src`, leaving this
-  /// runtime's per-run state untouched.  Used by campaign workers to mirror
-  /// the driving thread's runtime before replaying injection runs.
+  /// runtime exception set, diff recording, prefix baseline — from `src`,
+  /// leaving this runtime's per-run state untouched.  Used by campaign
+  /// workers to mirror the driving thread's runtime before replaying
+  /// injection runs.
   void adopt_config(const Runtime& src);
 
   // --- per-run observations -------------------------------------------------
@@ -263,23 +298,34 @@ class Runtime {
   /// call counts; nullptr caller means "called from the program top level".
   std::map<std::pair<const MethodInfo*, const MethodInfo*>, std::uint64_t>
       call_edges;
-  /// Stack of active instrumented methods (Count mode only).
-  std::vector<const MethodInfo*> call_stack;
-  /// When set, the Count baseline also records, per wrapped call in call
-  /// order, a copy of the call stack at entry (innermost last).  Because the
-  /// program is deterministic and Count/Inject modes make identical call
-  /// sequences up to the injection, entry k of this vector is the call stack
-  /// the injector will see at the injection points fired by the (k+1)-th
-  /// wrapped call — the mapping static campaign pruning is built on
-  /// (CampaignSettings::prune_atomic).
-  bool record_call_sites = false;
-  std::vector<std::vector<const MethodInfo*>> call_sites;
+  /// The Count baseline's call table, one entry per instrumented call in
+  /// call order; `point` advances as the injector's counter would.
+  BaselineTable call_log;
+  /// call_log indices of the active instrumented calls (Count mode only).
+  std::vector<std::uint32_t> call_stack;
   void reset_counts() {
     call_counts.clear();
     call_edges.clear();
+    call_log.clear();
     call_stack.clear();
-    call_sites.clear();
+    point = 0;
   }
+
+  // --- prefix checkpoint elision (DESIGN.md §7) -----------------------------
+  /// Installs the baseline table the injection wrappers consult: call k of
+  /// a run skips its entry capture when it matches entry k and the baseline
+  /// shows it returning below the threshold with no exception crossing it.
+  /// Null (the default) keeps Listing 1's capture on every call.
+  void set_prefix_baseline(std::shared_ptr<const BaselineTable> table) {
+    baseline_ = std::move(table);
+  }
+  const std::shared_ptr<const BaselineTable>& prefix_baseline() const {
+    return baseline_;
+  }
+  /// Per-run elision cursor: the index of the next call in the baseline
+  /// table, and whether the run still follows the table.
+  std::size_t call_index = 0;
+  bool elision_live = false;
 
   // --- masking -----------------------------------------------------------------
   /// Predicate selecting the methods whose calls are replaced by atomicity
@@ -369,6 +415,7 @@ class Runtime {
   std::shared_ptr<const recovery::PolicyTable> policies_;
   std::unordered_map<const MethodInfo*, const recovery::RecoveryPolicy*>
       policy_memo_;
+  std::shared_ptr<const BaselineTable> baseline_;
 };
 
 /// RAII: installs a runtime as the calling thread's current one — every
@@ -387,8 +434,9 @@ class ScopedRuntime {
 };
 
 /// RAII: saves a runtime's campaign-scoped settings — wrap predicate,
-/// checkpoint plans, recovery policies, validator flag, diff / footprint /
-/// provenance flags and checkpoint backend — and puts them back on exit.
+/// checkpoint plans, recovery policies, prefix baseline, validator flag,
+/// diff / footprint / provenance flags and checkpoint backend — and puts
+/// them back on exit.
 /// Experiment::run and MaskedScope install their values inside one, so a
 /// nested scope (a mask-verify campaign launched from inside a MaskedScope)
 /// hands the outer settings back intact.
@@ -404,6 +452,7 @@ class ScopedSettings {
   Runtime::WrapPredicate wrap_;
   std::shared_ptr<const PlanMap> plans_;
   std::shared_ptr<const recovery::PolicyTable> policies_;
+  std::shared_ptr<const BaselineTable> baseline_;
   bool validate_checkpoints_;
   bool record_diffs_;
   bool record_footprints_;

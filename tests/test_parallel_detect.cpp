@@ -51,6 +51,9 @@ void expect_same_campaign(const detect::Campaign& seq,
   EXPECT_EQ(seq.stats.comparisons, par.stats.comparisons);
   EXPECT_EQ(seq.stats.rollbacks, par.stats.rollbacks);
   EXPECT_EQ(seq.stats.wrapped_calls, par.stats.wrapped_calls);
+  EXPECT_EQ(seq.stats.elided_captures, par.stats.elided_captures);
+  EXPECT_EQ(seq.stats.elision_fallbacks, par.stats.elision_fallbacks);
+  EXPECT_EQ(seq.stats.elision_misses, par.stats.elision_misses);
 }
 
 void expect_parallel_matches_sequential(const std::string& app_name) {
@@ -86,6 +89,19 @@ TEST_F(ParallelDetectTest, CollectionsSubjectIsDeterministic) {
 
 TEST_F(ParallelDetectTest, XmlSubjectIsDeterministic) {
   expect_parallel_matches_sequential("xml2xml1");
+}
+
+TEST_F(ParallelDetectTest, PrefixElisionIsDeterministicAcrossJobs) {
+  // Workers read the driving thread's baseline table through adopt_config:
+  // each run elides the same captures wherever it executes.
+  const auto& app = subjects::apps::app("adaptorChain");
+  detect::Campaign seq = detect::Experiment(app.program).run();
+  detect::CampaignSettings par_opts;
+  par_opts.jobs = 4;
+  detect::Campaign par = detect::Experiment(app.program, par_opts).run();
+  expect_same_campaign(seq, par);
+  EXPECT_GT(seq.stats.elided_captures, 0u);
+  EXPECT_EQ(seq.stats.elision_fallbacks + seq.stats.elision_misses, 0u);
 }
 
 TEST_F(ParallelDetectTest, SyntheticWorkloadIsDeterministic) {

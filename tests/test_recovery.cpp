@@ -357,6 +357,27 @@ TEST_F(RecoveryTest, RetryExhaustionFallsBackToRollbackAndRethrow) {
   EXPECT_EQ(rt.stats.retry_successes, 0u);
 }
 
+TEST_F(RecoveryTest, RetryTakesOneCheckpointForEveryAttempt) {
+  auto& rt = weave::Runtime::instance();
+  recovery::RecoveryPolicy pol;
+  pol.action = recovery::Action::Retry;
+  pol.retry_budget = 3;
+  pol.rollback_before_retry = true;
+  mask::MaskedScope scope(
+      wrap_only("synthetic::Account::sloppy_withdraw"), nullptr, false,
+      one_policy("synthetic::Account::sloppy_withdraw", pol));
+  synthetic::Account a;
+  a.set(10);
+  rt.stats = {};
+  // Each retry restores the entry state, so the one entry checkpoint serves
+  // all four attempts and the final rollback.
+  EXPECT_THROW(a.sloppy_withdraw(100), synthetic::BankError);
+  EXPECT_EQ(a.value(), 10);
+  EXPECT_EQ(rt.stats.retry_attempts, 3u);
+  EXPECT_EQ(rt.stats.rollbacks, 4u);
+  EXPECT_EQ(rt.stats.snapshots_taken, 1u);
+}
+
 TEST_F(RecoveryTest, DegradeSwallowsOnlyWhenStateIsIntact) {
   auto& rt = weave::Runtime::instance();
   recovery::RecoveryPolicy pol;

@@ -95,10 +95,12 @@ int usage(int code) {
       "                         are statically proven failure atomic\n"
       "  --cross-check          run full and pruned campaigns, verify the\n"
       "                         classifications are identical (exit != 0\n"
-      "                         on divergence), and that campaigns on the\n"
-      "                         graph-walk oracle classify identically to\n"
-      "                         the arena checkpoints; with --all: gate over\n"
-      "                         every subject family including hidden demos\n"
+      "                         on divergence), and that the arena campaign\n"
+      "                         (prefix-elided captures) records the same\n"
+      "                         per-run marks as the graph-walk oracle, with\n"
+      "                         no elision fallback or miss; with --all:\n"
+      "                         gate over every subject family including\n"
+      "                         hidden demos\n"
       "  --diffs                attach a graph-diff example to each\n"
       "                         non-atomic method in --details output\n"
       "  --exception-free M     declare method M exception-free (repeatable)\n"
@@ -442,20 +444,33 @@ void emit_trace_outputs(const Args& args, const report::AppResult& result) {
 }
 
 /// Checkpoint soundness gate (part of every --cross-check): the same
-/// campaign must classify identically on the arena slab and on the graph
-/// node-table oracle — the slab is an encoding, not a semantics.
+/// campaign must record the same marks on the arena slab, with prefix
+/// checkpoint elision, as on the graph node-table oracle, which keeps
+/// Listing 1's capture on every call — the slab is an encoding and the
+/// elided captures are never read.  The built-in subjects are deterministic,
+/// so any elision fallback or miss is a failure too.
 int backend_parity_check(const subjects::apps::App& app, const Args& args) {
   fatomic::Config graph_cfg = make_config(args);
   graph_cfg.checkpoint_backend(snapshot::BackendKind::Graph);
   const auto g = run_campaign(app, graph_cfg);
   const auto a = run_campaign(app, make_config(args));
-  const bool identical = report::classification_json(g.classification) ==
-                         report::classification_json(a.classification);
+  const std::string mismatch =
+      detect::first_run_mismatch(g.campaign, a.campaign);
+  const bool identical = mismatch.empty() &&
+                         report::classification_json(g.classification) ==
+                             report::classification_json(a.classification);
+  const auto& st = a.campaign.stats;
   std::cout << app.name << ": backend cross-check "
             << (identical ? "identical" : "DIVERGED") << " ("
-            << a.campaign.stats.memcmp_compares << " memcmp compares, "
-            << a.campaign.stats.compare_fallbacks << " structural fallbacks)\n";
-  return identical ? 0 : 2;
+            << st.memcmp_compares << " memcmp compares, "
+            << st.compare_fallbacks << " structural fallbacks, "
+            << st.elided_captures << " elided captures, "
+            << st.elision_fallbacks << " elision fallbacks, "
+            << st.elision_misses << " elision misses)\n";
+  if (!mismatch.empty()) std::cout << "  first mismatch: " << mismatch << '\n';
+  const bool deterministic =
+      st.elision_fallbacks == 0 && st.elision_misses == 0;
+  return identical && deterministic ? 0 : 2;
 }
 
 /// Per-method throw-site histogram on stdout (--throw-stacks).
