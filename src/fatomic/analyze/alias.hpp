@@ -1,25 +1,19 @@
 // Pass 5 of the static analyzer: flow-insensitive, field-sensitive alias
-// and escape analysis over the SourceModel.
+// and escape analysis over the SourceModel (DESIGN.md §13).
 //
 // Pass 1 collapses a method's write set to ⊤ whenever a mutation flows
-// through state it cannot name: a write through a local pointer, a write
-// through a reference parameter, or a receiver whose `this` leaks into an
-// unknown sink.  PR 8's ⊤-reason histogram shows those families dominate
-// the full-checkpoint fallbacks.  This pass recovers the names: for every
-// scanned function it binds each local pointer/reference to the receiver
-// subtree (member-name roots) or parameter position it aliases, merging
-// bindings Steensgaard-style — one union per variable, merges only ever
-// move *up* the lattice
-//
-//     Local  ⊏  Field / Param  ⊏  ⊤
-//
-// and widening to ⊤ on anything the model cannot follow: const_cast /
-// reinterpret_cast laundering, pointer arithmetic, or storage into an
-// unmodelled sink (a call the scan has no summary for).  Interprocedural
-// flow reuses the Pass 4 k=1 machinery: return-value aliases propagate
-// through an optimistic fixpoint, so `MEntry* e = find_entry(key)` resolves
-// to the member subtree the callee's `return` chains name, in the caller's
-// frame.
+// through state it cannot name: a local pointer, a reference parameter, a
+// receiver whose `this` leaks into an unknown sink.  This pass recovers the
+// names: for every scanned function it binds each local pointer/reference
+// to the receiver subtree (member-name roots) or parameter position it
+// aliases, Steensgaard-style — one union per variable, merges only ever
+// move *up* the lattice `Local ⊏ Field / Param ⊏ ⊤` — and widens to ⊤ on
+// anything the model cannot follow: const_cast / reinterpret_cast
+// laundering, pointer arithmetic, storage into an unmodelled sink (a call
+// the scan has no summary for).  Return aliases are solved from bottom by
+// the shared solver (fixpoint.hpp), so `MEntry* e = find_entry(key)`
+// resolves, in the caller's frame and wherever the callee is defined, to
+// the member subtree the callee's `return` chains name.
 //
 // Soundness is validated dynamically, not assumed: `alias_check` replays a
 // full campaign with mutation-footprint recording and verifies that every
@@ -111,6 +105,10 @@ struct FnAliasInfo {
   /// positions are re-resolved at each call site).
   AliasTarget returns;
   bool has_return = false;
+
+  /// Lattice join, member by member.
+  void merge(const FnAliasInfo& o);
+  bool operator==(const FnAliasInfo&) const = default;
 };
 
 struct AliasAnalysis {
@@ -123,8 +121,8 @@ struct AliasAnalysis {
 };
 
 /// Runs the alias/escape pass over every scanned function definition (full
-/// bodies, so the FAT_INVOKE_ARGS tie list is visible), iterating the
-/// return-alias summaries to a fixpoint.
+/// bodies, so the FAT_INVOKE_ARGS tie list is visible), solving the
+/// return-alias summaries to their least fixpoint.
 AliasAnalysis analyze_aliases(const SourceModel& model,
                               const std::vector<IndexedDef>& defs);
 /// Same, indexing the model's definitions first.

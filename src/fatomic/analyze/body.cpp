@@ -147,6 +147,23 @@ std::string TokenView::leading_qualifier(std::size_t i) const {
   return leading;
 }
 
+std::size_t TokenView::angle_end(std::size_t open) const {
+  int depth = 0;
+  for (std::size_t j = open; j < size_; ++j) {
+    const std::string& t = tk(j);
+    if (t == "<") {
+      ++depth;
+    } else if (t == ">") {
+      if (--depth == 0) return j + 1;
+    } else if (t == ">>") {
+      if ((depth -= 2) <= 0) return j + 1;
+    } else if (t == ";" || t == "{" || t == "}") {
+      return npos;
+    }
+  }
+  return npos;
+}
+
 BodyIndex::BodyIndex(const std::vector<Token>& tokens, std::size_t begin,
                      std::size_t end,
                      const std::map<std::string, std::set<std::string>>& bases)
@@ -315,31 +332,9 @@ std::optional<Declaration> BodyIndex::declaration_at(std::size_t i) const {
       ++j;
       while (tk(j) == "::" && is_ident(tk(j + 1))) j += 2;
     }
-    if (tk(j) == "<") {  // template arguments; `>>` closes two levels
-      int depth = 0;
-      bool closed = false;
-      for (; j < size(); ++j) {
-        const std::string& t = tk(j);
-        if (t == "<") {
-          ++depth;
-        } else if (t == ">") {
-          if (--depth == 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ">>") {
-          depth -= 2;
-          if (depth <= 0) {
-            ++j;
-            closed = true;
-            break;
-          }
-        } else if (t == ";" || t == "{" || t == "}") {
-          return std::nullopt;
-        }
-      }
-      if (!closed) return std::nullopt;
+    if (tk(j) == "<") {  // template arguments
+      j = angle_end(j);
+      if (j == npos) return std::nullopt;
     }
   }
   while (tk(j) == "*" || tk(j) == "&" || tk(j) == "&&" || tk(j) == "const") {

@@ -8,9 +8,8 @@
 // is the only place those facts are computed.  A `TokenView` pairs the
 // brackets of a token range once; a `BodyIndex` adds the body-level
 // structure; `index_definitions` builds both views of every scanned
-// definition once per analysis, so the fixpoint rounds of the passes only
-// look facts up.  The passes keep their own transfer rules — only the
-// lexical layer is shared.
+// definition once per analysis, so the fixpoint only looks facts up.  The
+// passes keep their own transfer rules — only the lexical layer is shared.
 #pragma once
 
 #include <cstddef>
@@ -81,6 +80,10 @@ class TokenView {
       std::size_t open, std::size_t close_pos) const;
   /// First qualifier of a `A::B::name` chain ending at `i` ("A"), or "".
   std::string leading_qualifier(std::size_t i) const;
+  /// The position after the `>` closing the template argument list that
+  /// opens at `open` (`>>` closes two levels), or npos when a `;`, `{` or
+  /// `}` comes first or the range ends.
+  std::size_t angle_end(std::size_t open) const;
 
  private:
   std::size_t end_of(std::size_t i, bool at_comma) const;
@@ -135,10 +138,6 @@ class BodyIndex : public TokenView {
   /// The outermost loop (`for`/`while`/`do`) covering `pos` as its first
   /// and last token, or nullptr outside loops.
   const std::pair<std::size_t, std::size_t>* loop_at(std::size_t pos) const;
-  /// Every try block, nested ones included.  Handler bodies lie outside the
-  /// recorded ranges, so a throw in a handler — a `throw;` rethrow too — is
-  /// covered only by outer try blocks, exactly C++'s semantics.
-  const std::vector<TryRegion>& trys() const { return trys_; }
   /// Every explicit throw, in token order.
   const std::vector<ThrowSite>& throws() const { return throws_; }
   /// The throw site at `pos`, or nullptr when no `throw` is there.
@@ -162,6 +161,9 @@ class BodyIndex : public TokenView {
   const std::map<std::string, std::set<std::string>>* bases_;
   /// Outermost loop intervals, disjoint and in token order.
   std::vector<std::pair<std::size_t, std::size_t>> loops_;
+  /// Every try block, nested ones included.  Handler bodies lie outside the
+  /// recorded ranges, so a throw in a handler — a `throw;` rethrow too — is
+  /// covered only by outer try blocks, exactly C++'s semantics.
   std::vector<TryRegion> trys_;
   std::vector<ThrowSite> throws_;
 };

@@ -1,33 +1,24 @@
 // Pass 4 of the static analyzer: a statically constructed call graph with
-// context-sensitive, catch-clause-aware exception-flow propagation.
+// context-sensitive, catch-clause-aware exception-flow propagation
+// (DESIGN.md §12).
 //
-// Pass 2 (exception_flow) runs its may-propagate fixpoint over the *dynamic*
-// call graph the campaign observed, so methods never reached by a campaign
-// get only their local declared sets — a blind spot both for the lint and
-// for any caller that wants whole-program sets without running a campaign.
-// This pass rebuilds the graph from the SourceModel alone: every
-// instrumented wrapper body (and every un-instrumented helper it calls) is
-// scanned for explicit throws, rethrows, calls into instrumented code, and
-// constructions of FAT_CTOR_INFO classes.  Exception types are then
-// propagated to a fixpoint with two precision features Pass 2 lacks:
+// Pass 2 propagates over the *dynamic* call graph, so a method no campaign
+// reaches gets only its declared set.  This pass builds the graph from the
+// SourceModel alone — every instrumented wrapper body and every helper it
+// calls, scanned for throws, rethrows, instrumented calls and FAT_CTOR_INFO
+// constructions — and propagates exception types with two precision
+// features Pass 2 lacks: catch-clause awareness (a throw or a callee's set
+// inside a `try` body stops at a handler for its type, a base of it, or
+// `catch (...)`, the only handler that stops an unknown type) and
+// per-call-site contexts (each call's callee set is filtered through the
+// try blocks enclosing that call only).
 //
-//   - catch-clause awareness: a throw (or a callee's escaping set) inside a
-//     `try` body stops at a handler that catches it — exact type match,
-//     base-class match via the model's inheritance edges, or `catch (...)`.
-//     Only `catch (...)` stops exceptions of statically unknown type.
-//   - per-call-site contexts: each call contributes its callee's set at the
-//     call's own position, filtered through the regions enclosing *that*
-//     call — one guarded call no longer smears (or un-smears) its siblings.
-//
-// The result is deliberately an over-approximation everywhere else: an
-// unresolved call target counts as "any instrumented method of that name",
-// a `throw expr;` of unknown type becomes the wildcard "*", and a method
-// whose body was never found is "open" (unconstrained).  That directional
-// bias is what makes `graph_check` meaningful: every call edge and every
-// exception type the dynamic campaign actually observed must be covered by
-// the static result, or the static graph is unsound (exit 2 in the CLI,
-// enforced in CI — the "validate against the dynamic ground truth" harness
-// of PAPERS.md's call-graph-soundness line of work).
+// Everywhere else the result over-approximates on purpose: an unresolved
+// target is "any instrumented method of that name", a `throw expr;` of
+// unknown type is the wildcard "*", a method with no scanned body is
+// "open".  That bias makes `graph_check` meaningful: every call edge and
+// exception type a campaign observes must be covered by the static result,
+// or the graph is unsound (exit 2 in the CLI, enforced in CI).
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,12 @@
 #include "fatomic/analyze/effects.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <limits>
 
 #include "fatomic/analyze/alias.hpp"
 #include "fatomic/analyze/body.hpp"
+#include "fatomic/analyze/fixpoint.hpp"
 
 namespace fatomic::analyze {
 
@@ -86,11 +86,10 @@ struct Event {
 
 struct Ctx {
   const SourceModel* model;
-  /// Summaries keyed "Class::helper" / free "helper".
-  const std::map<std::string, FnSummary>* by_key;
-  /// Summaries merged over every definition sharing a simple name — the
-  /// sound resolution for calls whose receiver type is unknown.
-  const std::map<std::string, FnSummary>* by_name;
+  /// Summaries by key ("Class::helper" / free "helper") and merged over
+  /// every definition sharing a simple name — the sound resolution for
+  /// calls whose receiver type is unknown.  Lookups record dependencies.
+  SummaryTable<FnSummary>* summaries;
   /// Qualified class names of scanned definitions, by simple name — the
   /// candidate set for receiver-typed call resolution.
   const std::map<std::string, std::set<std::string>>* def_classes_by_simple;
@@ -98,9 +97,7 @@ struct Ctx {
   /// either side of an inheritance edge): receiver-typed resolution must
   /// not narrow calls through these, an unscanned override could run.
   const std::set<std::string>* dispatch_risky;
-  /// Pass 5 alias bindings: writes through tracked locals resolve to the
-  /// receiver subtree (or parameter position) the local aliases instead of
-  /// collapsing to an unresolved environment write.
+  /// Pass 5 bindings: a write through a tracked local lands where it aliases.
   const AliasAnalysis* alias;
 };
 
@@ -158,30 +155,29 @@ class BodyScan {
     return true;
   }
 
-  /// Worst base identifier found in [b, e): does the expression reach
-  /// tracked state, and through a parameter only?
-  std::pair<bool, bool> expr_state(std::size_t b, std::size_t e) const {
-    bool any = false, env = false;
+  /// What the base identifiers of [b, e) reach: tracked state at all, only
+  /// through parameters, and then through which parameter positions.
+  struct ExprState {
+    bool tracked = false;
+    bool param_only = false;
+    std::set<std::size_t> positions;  ///< empty unless param_only
+  };
+  ExprState expr_state(std::size_t b, std::size_t e) const {
+    ExprState s;
+    bool env = false;
     for (std::size_t k = b; k < e; ++k) {
       if (!base_ident_at(k, b)) continue;
       const Kind kind = classify(tk(k));
       if (!tracked(kind)) continue;
-      any = true;
+      s.tracked = true;
       if (kind != Kind::TrackedParam) env = true;
+      if (auto it = param_pos_.find(tk(k));
+          kind == Kind::TrackedParam && it != param_pos_.end())
+        s.positions.insert(it->second);
     }
-    return {any, any && !env};
-  }
-
-  /// Parameter positions referenced by tracked-parameter bases in [b, e).
-  std::set<std::size_t> expr_positions(std::size_t b, std::size_t e) const {
-    std::set<std::size_t> out;
-    for (std::size_t k = b; k < e; ++k) {
-      if (!base_ident_at(k, b)) continue;
-      if (classify(tk(k)) != Kind::TrackedParam) continue;
-      auto it = param_pos_.find(tk(k));
-      if (it != param_pos_.end()) out.insert(it->second);
-    }
-    return out;
+    s.param_only = s.tracked && !env;
+    if (!s.param_only) s.positions.clear();
+    return s;
   }
 
   /// Does the initializer expression denote freshly owned storage (writes
@@ -460,6 +456,32 @@ class BodyScan {
     return it != locals_.end() && it->second.is_ref;
   }
 
+  /// A write through chain `c` into whatever its base points at.  Fresh
+  /// bases drop out within the object's own slots only: a second member hop
+  /// re-enters whatever the frame stashed there (emit_write applies the same
+  /// hop rule to tracked locals).
+  void write_through(std::size_t pos, const Chain& c) {
+    if (c.base == Kind::TrackedLocal || (c.base == Kind::Fresh && c.hops > 1))
+      emit_write(pos, c);
+    else if (tracked(c.base))
+      emit_mut(pos, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
+  }
+  /// A write to the slot chain `c` names: through a dereference as above,
+  /// else a member or parameter slot, or a reference local's referent (an
+  /// assignment writes through a reference, it never rebinds).  False when
+  /// the slot is a plain local.
+  bool write_slot(std::size_t pos, const Chain& c) {
+    if (c.deref)
+      write_through(pos, c);
+    else if (c.base == Kind::Env || c.base == Kind::TrackedParam)
+      emit_mut(pos, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
+    else if (c.base == Kind::TrackedLocal && local_is_ref(c.base_name))
+      emit_write(pos, c);
+    else
+      return false;
+    return true;
+  }
+
   /// Param-mutation events for a call to a summarized callee.  When the
   /// callee's written parameter positions are known, only the argument
   /// expressions at those positions are re-evaluated (and the written
@@ -467,17 +489,38 @@ class BodyScan {
   /// tracked argument anywhere in the list counts, with the callee's own
   /// write names.
   void emit_param_writes(std::size_t i, std::size_t close, const FnSummary& s);
+  /// The write events of a call resolved to summary `s`: its environment
+  /// writes when they reach caller state (`env`, landing as `kind` through
+  /// `positions`), then its parameter writes.
+  void summary_writes(std::size_t i, std::size_t close, const FnSummary& s,
+                      bool env, Kind kind = Kind::Env,
+                      std::set<std::size_t> positions = {}) {
+    if (env && s.mutates_env)
+      emit_mut_set(i, kind, s.writes, s.writes_unknown, std::move(positions));
+    emit_param_writes(i, close, s);
+  }
+  /// A mutation event for the call at `i` writing through argument [b, e),
+  /// when that argument reaches tracked state.
+  void arg_write(std::size_t i, std::size_t b, std::size_t e) {
+    ExprState arg = expr_state(b, e);
+    if (!arg.tracked) return;
+    auto [tnames, tvalid] = arg_target(b, e);
+    emit(i, true, false, arg.param_only,
+         tvalid ? std::move(tnames) : std::vector<std::string>{}, !tvalid,
+         std::move(arg.positions));
+  }
   /// Mutation events for a library call that may write through any tracked
   /// argument (std::move, generic algorithms, unknown member calls' args).
-  void tracked_args_mut(std::size_t i, std::size_t close);
+  void tracked_args_mut(std::size_t i, std::size_t close) {
+    for (const auto& [b, e] : body_.split_args(i + 1, close))
+      arg_write(i, b, e);
+  }
 
   const FnSummary* lookup_key(const std::string& key) const {
-    auto it = ctx_.by_key->find(key);
-    return it == ctx_.by_key->end() ? nullptr : &it->second;
+    return ctx_.summaries->by_key(key);
   }
   const FnSummary* lookup_name(const std::string& name) const {
-    auto it = ctx_.by_name->find(name);
-    return it == ctx_.by_name->end() ? nullptr : &it->second;
+    return ctx_.summaries->by_name(name);
   }
 
   /// Pass 4 receiver-typed call resolution: when the receiver's declared
@@ -562,35 +605,16 @@ void BodyScan::emit_param_writes(std::size_t i, std::size_t close,
     for (std::size_t p : s.write_param_positions)
       if (p >= args.size()) in_range = false;
     if (in_range) {
-      for (std::size_t p : s.write_param_positions) {
-        const auto [b, e] = args[p];
-        const auto [arg_tracked, arg_param_only] = expr_state(b, e);
-        if (!arg_tracked) continue;
-        auto [tnames, tvalid] = arg_target(b, e);
-        emit(i, true, false, arg_param_only,
-             tvalid ? std::move(tnames) : std::vector<std::string>{}, !tvalid,
-             arg_param_only ? expr_positions(b, e) : std::set<std::size_t>{});
-      }
+      for (std::size_t p : s.write_param_positions)
+        arg_write(i, args[p].first, args[p].second);
       return;
     }
   }
-  const auto [args_tracked, args_param_only] = expr_state(i + 2, close);
-  if (!args_tracked) return;
-  emit_mut_set(i, args_param_only ? Kind::TrackedParam : Kind::Env,
+  ExprState args = expr_state(i + 2, close);
+  if (!args.tracked) return;
+  emit_mut_set(i, args.param_only ? Kind::TrackedParam : Kind::Env,
                s.param_writes, s.param_writes_unknown,
-               args_param_only ? expr_positions(i + 2, close)
-                               : std::set<std::size_t>{});
-}
-
-void BodyScan::tracked_args_mut(std::size_t i, std::size_t close) {
-  for (const auto& [b, e] : body_.split_args(i + 1, close)) {
-    const auto [arg_tracked, arg_param_only] = expr_state(b, e);
-    if (!arg_tracked) continue;
-    auto [tnames, tvalid] = arg_target(b, e);
-    emit(i, true, false, arg_param_only,
-         tvalid ? std::move(tnames) : std::vector<std::string>{}, !tvalid,
-         arg_param_only ? expr_positions(b, e) : std::set<std::size_t>{});
-  }
+               std::move(args.positions));
 }
 
 bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
@@ -599,19 +623,11 @@ bool BodyScan::receiver_summary(const Chain& recv, const std::string& method,
   auto ft = ctx_.model->declared_types.find(recv.recv_name);
   if (ft == ctx_.model->declared_types.end()) return false;
   const std::string& type = ft->second;
-  // Exact ident-word scan of the merged declared type (substring matching
+  // Exact identifiers of the merged declared type (substring matching
   // would confuse LinkedList with LinkedListFixed).
   std::set<std::string> words;
-  std::string w;
-  for (char c : type) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-      w.push_back(c);
-    } else if (!w.empty()) {
-      words.insert(w);
-      w.clear();
-    }
-  }
-  if (!w.empty()) words.insert(w);
+  for (const Token& t : tokenize(type))
+    if (is_ident(t.text)) words.insert(t.text);
   FnSummary merged;
   bool any = false;
   for (const std::string& word : words) {
@@ -637,36 +653,27 @@ void BodyScan::handle_call(std::size_t i) {
   const std::string& name = tk(i);
   const std::string prev = i > 0 ? tk(i - 1) : "";
   const std::size_t close = body_.close(i + 1);
-  const auto [args_tracked, args_param_only] = expr_state(i + 2, close);
+  const ExprState args = expr_state(i + 2, close);
 
   if (name.rfind("FAT_", 0) == 0) return;
 
   if (prev == "::") {
     // Qualified call: either the standard library or a scanned namespace.
     if (body_.leading_qualifier(i) == "std") {
-      if (name == "move" || name == "forward") {
-        // Move-steal: the argument's guts are gone afterwards — a write to
-        // exactly the moved-from chain.
-        tracked_args_mut(i, close);
-        return;
-      }
-      if (pure_std_calls().count(name)) return;
-      // Generic algorithm: may mutate through whatever it was handed, but
-      // contains no injection point (the fault model injects only at
-      // instrumented methods — DESIGN.md §7).
-      tracked_args_mut(i, close);
+      // A generic algorithm may mutate through whatever it was handed (a
+      // move steals exactly the moved-from chain), but contains no
+      // injection point (the fault model injects only at instrumented
+      // methods — DESIGN.md §7).
+      if (!pure_std_calls().count(name)) tracked_args_mut(i, close);
       return;
     }
     if (const FnSummary* s = lookup_name(name)) {
-      if (s->mutates_env)
-        emit_mut_set(i, Kind::Env, s->writes, s->writes_unknown);
-      emit_param_writes(i, close, *s);
+      summary_writes(i, close, *s, true);
       emit(i, false, s->may_throw, false);
       return;
     }
-    emit(i, args_tracked, true, args_param_only, {}, true,
-         args_param_only ? expr_positions(i + 2, close)
-                         : std::set<std::size_t>{});  // unknown qualified call
+    emit(i, args.tracked, true, args.param_only, {}, true,
+         args.positions);  // unknown qualified call
     return;
   }
 
@@ -676,105 +683,77 @@ void BodyScan::handle_call(std::size_t i) {
     const bool recv_tracked = tracked(recv.base);
     const Kind recv_kind =
         recv.base == Kind::TrackedParam ? Kind::TrackedParam : Kind::Env;
+    // Library treatment: mutation only, landing inside the receiver chain's
+    // final member (`root_->children.push_back(x)` writes children).
+    auto library_write = [&] {
+      if (!recv_tracked) return;
+      if (recv.base == Kind::TrackedLocal)
+        emit_write(i, recv);
+      else
+        emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
+                 chain_positions(recv));
+    };
     // Zero-argument accessor check first: `head_.get()` must not resolve to
     // the instrumented HashedMap::get — every instrumented method sharing a
     // whitelisted name takes arguments, so arity disambiguates.
     if (close == i + 2 && pure_member_calls().count(name)) return;
-    if (ctx_.model->instrumented_names.count(name)) {
-      if (field_rules_out_instrumented(recv.recv_name, name)) {
-        // The receiver is a field of known non-subject type (`head_` is a
-        // unique_ptr, not a Regexp), so this cannot be the instrumented
-        // method of the same name — and a name-based summary lookup would
-        // mis-resolve to it.  Library treatment: mutation only.  The write
-        // lands inside the named member (`head_.reset()` rewrites head_).
-        if (recv_tracked) {
-          if (recv.base == Kind::TrackedLocal)
-            emit_write(i, recv);
-          else
-            emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
-                     chain_positions(recv));
-        }
-        return;
-      }
-      // Receiver-typed narrowing first: when the declared type pins the
-      // receiver to specific scanned classes, their merged summary decides
-      // both the write set and fallibility (may_throw already folds the
-      // injection point for instrumented definitions).
-      FnSummary rs;
-      if (receiver_summary(recv, name, &rs)) {
-        if (recv_tracked && rs.mutates_env)
-          emit_mut_set(i, recv_kind, rs.writes, rs.writes_unknown,
-                       chain_positions(recv));
-        emit_param_writes(i, close, rs);
-        emit(i, false, rs.may_throw, false);
-        return;
-      }
+    const bool instrumented = ctx_.model->instrumented_names.count(name) > 0;
+    if (instrumented && field_rules_out_instrumented(recv.recv_name, name)) {
+      // The receiver is a field of known non-subject type (`head_` is a
+      // unique_ptr, not a Regexp), so this cannot be the instrumented
+      // method of the same name — and a name-based summary lookup would
+      // mis-resolve to it.  The write lands inside the named member
+      // (`head_.reset()` rewrites head_).
+      library_write();
+      return;
+    }
+    // Receiver-typed narrowing first: when the declared type pins the
+    // receiver to specific scanned classes, their merged summary decides
+    // both the write set and fallibility (may_throw already folds the
+    // injection point for instrumented definitions).
+    FnSummary rs;
+    const FnSummary* s =
+        receiver_summary(recv, name, &rs) ? &rs : lookup_name(name);
+    if (instrumented && s != &rs) {
       // Potential injection point no matter the receiver type; mutation
       // only if some definition of that name mutates and the receiver is
       // caller-visible.
-      const FnSummary* s = lookup_name(name);
       if (recv_tracked && s != nullptr && s->mutates_env)
         emit_mut_set(i, recv_kind, s->writes, s->writes_unknown,
                      chain_positions(recv));
       emit(i, false, true, false);
       return;
     }
-    FnSummary rs;
-    if (receiver_summary(recv, name, &rs)) {
-      if (rs.mutates_env && recv_tracked)
-        emit_mut_set(i, recv_kind, rs.writes, rs.writes_unknown,
+    if (s != nullptr) {
+      summary_writes(i, close, *s, recv_tracked, recv_kind,
                      chain_positions(recv));
-      emit_param_writes(i, close, rs);
-      emit(i, false, rs.may_throw, false);
-      return;
-    }
-    if (const FnSummary* s = lookup_name(name)) {
-      if (s->mutates_env && recv_tracked)
-        emit_mut_set(i, recv_kind, s->writes, s->writes_unknown,
-                     chain_positions(recv));
-      emit_param_writes(i, close, *s);
       emit(i, false, s->may_throw, false);
       return;
     }
     if (pure_member_calls().count(name) ||
         ctx_.model->clean_const_names.count(name))
       return;
-    // Unknown library member call: mutation when the receiver is tracked,
-    // no injection point inside.  The mutation stays within the receiver
-    // chain's final member (`root_->children.push_back(x)` writes children).
-    if (recv_tracked) {
-      if (recv.base == Kind::TrackedLocal)
-        emit_write(i, recv);
-      else
-        emit_mut(i, recv_kind, recv.recv_name, !recv.recv_starred,
-                 chain_positions(recv));
-    }
+    // Unknown library member call: no injection point inside.
+    library_write();
     return;
   }
 
-  // Unqualified call: a sibling/self call or a free function.
+  // Unqualified call: a sibling/self call or a free function.  From a member
+  // function it resolves to the same class's member when one exists — its
+  // exact by-key summary beats the by-name union over every class sharing
+  // the name.
+  const FnSummary* s = nullptr;
+  if (!def_.class_name.empty()) s = lookup_key(def_.class_name + "::" + name);
   if (ctx_.model->instrumented_names.count(name)) {
-    // An unqualified call from a member function resolves to the same
-    // class's member when one exists — its exact by-key summary beats the
-    // by-name union over every class sharing the (instrumented) name.
-    const FnSummary* s = nullptr;
-    if (!def_.class_name.empty())
-      s = lookup_key(def_.class_name + "::" + name);
     if (s == nullptr) s = lookup_name(name);
-    if (s != nullptr && s->mutates_env)
-      emit_mut_set(i, Kind::Env, s->writes, s->writes_unknown);
-    if (s != nullptr) emit_param_writes(i, close, *s);
+    if (s != nullptr) summary_writes(i, close, *s, true);
     emit(i, false, true, false);
     return;
   }
-  const FnSummary* s = nullptr;
-  if (!def_.class_name.empty()) s = lookup_key(def_.class_name + "::" + name);
   if (s == nullptr) s = lookup_key(name);
   if (s == nullptr) s = lookup_name(name);
   if (s != nullptr) {
-    if (s->mutates_env)
-      emit_mut_set(i, Kind::Env, s->writes, s->writes_unknown);
-    emit_param_writes(i, close, *s);
+    summary_writes(i, close, *s, true);
     emit(i, false, s->may_throw, false);
     return;
   }
@@ -783,9 +762,7 @@ void BodyScan::handle_call(std::size_t i) {
   // fallible, and mutating when handed anything tracked.  With only safe
   // arguments it cannot reach caller-visible state — the subjects use no
   // mutable globals (DESIGN.md §7 assumptions).
-  emit(i, args_tracked, true, args_param_only, {}, true,
-       args_param_only ? expr_positions(i + 2, close)
-                       : std::set<std::size_t>{});
+  emit(i, args.tracked, true, args.param_only, {}, true, args.positions);
 }
 
 /// Tries to parse a local-variable declaration at statement start; on
@@ -866,12 +843,9 @@ void BodyScan::run() {
       continue;
     }
     if (t == "[") {
-      std::size_t next = i;
-      if (try_lambda(i, next)) {
-        i = next;
-        continue;
-      }
-      ++i;
+      std::size_t next = i + 1;  // past the lambda's parameters, if one
+      try_lambda(i, next);
+      i = next;
       continue;
     }
     if (t == "throw") {
@@ -898,10 +872,7 @@ void BodyScan::run() {
                                       : i + 1);
       // The named pointer's graph is destroyed — a structural write to the
       // member holding it (its pointer type keeps it out of partial plans).
-      if (c.base == Kind::TrackedLocal || (c.base == Kind::Fresh && c.hops > 1))
-        emit_write(i, c);
-      else if (tracked(c.base))
-        emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
+      write_through(i, c);
       ++i;
       continue;
     }
@@ -923,24 +894,8 @@ void BodyScan::run() {
         t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
         t == ">>=") {
       const Chain c = chain_before(i);
-      if (c.deref) {
-        // Fresh bases drop too — but only within the object's own slots: a
-        // second member hop re-enters whatever the frame stashed there
-        // (emit_write applies the same hop rule to tracked locals).
-        if (c.base == Kind::TrackedLocal ||
-            (c.base == Kind::Fresh && c.hops > 1))
-          emit_write(i, c);
-        else if (tracked(c.base))
-          emit_mut(i, c.base, c.recv_name, !c.recv_starred,
-                   chain_positions(c));
-      } else if (c.base == Kind::Env || c.base == Kind::TrackedParam) {
-        emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
-      } else if (c.base == Kind::TrackedLocal && local_is_ref(c.base_name)) {
-        // Assignment through a reference binding writes the aliased object
-        // (it never rebinds) — historically a silent hole.
-        emit_write(i, c);
-      } else if (t == "=" &&
-                 (c.base == Kind::Fresh || c.base == Kind::TrackedLocal)) {
+      if (!write_slot(i, c) && t == "=" &&
+          (c.base == Kind::Fresh || c.base == Kind::TrackedLocal)) {
         // Reassigning a local pointer: its freshness follows the new value.
         std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i) - 1;
         while (j >= 0 && !is_ident(tk(static_cast<std::size_t>(j)))) --j;
@@ -958,27 +913,14 @@ void BodyScan::run() {
       const Chain c = (is_ident(nxt) || nxt == "(" || nxt == "*")
                           ? chain_after(i + 1)
                           : chain_before(i);
-      if ((c.base == Kind::TrackedLocal &&
-           (c.deref || local_is_ref(c.base_name))) ||
-          (c.base == Kind::Fresh && c.deref && c.hops > 1))
-        emit_write(i, c);
-      else if (c.deref ? tracked(c.base)
-                       : (c.base == Kind::Env || c.base == Kind::TrackedParam))
-        emit_mut(i,
-                 c.base == Kind::TrackedParam ? Kind::TrackedParam : Kind::Env,
-                 c.recv_name, !c.recv_starred, chain_positions(c));
+      write_slot(i, c);
       ++i;
       continue;
     }
     if (t == "<<" || t == ">>") {
       // Stream insertion/extraction mutates its left operand (shifts on
       // literals and untracked values resolve to Kind::None/Fresh).
-      const Chain c = chain_before(i);
-      if (c.base == Kind::TrackedLocal || (c.base == Kind::Fresh && c.hops > 1))
-        emit_write(i, c);
-      else if (c.base == Kind::Env || c.base == Kind::TrackedParam ||
-               c.base == Kind::TrackedLocal)
-        emit_mut(i, c.base, c.recv_name, !c.recv_starred, chain_positions(c));
+      write_through(i, chain_before(i));
       ++i;
       continue;
     }
@@ -992,13 +934,12 @@ const ClassModel* class_of(const SourceModel& model, const std::string& cls) {
   if (cls.empty()) return nullptr;
   if (const ClassModel* cm = model.find_class(cls)) return cm;
   for (const auto& [key, cm] : model.classes) {
-    if (key.size() < cls.size() &&
-        cls.compare(cls.size() - key.size(), key.size(), key) == 0 &&
-        cls[cls.size() - key.size() - 1] == ':')
-      return &cm;
-    if (cls.size() < key.size() &&
-        key.compare(key.size() - cls.size(), cls.size(), cls) == 0 &&
-        key[key.size() - cls.size() - 1] == ':')
+    const bool shorter = key.size() < cls.size();
+    const std::string& a = shorter ? key : cls;  // the would-be suffix
+    const std::string& b = shorter ? cls : key;
+    if (a.size() < b.size() &&
+        b.compare(b.size() - a.size(), a.size(), a) == 0 &&
+        b[b.size() - a.size() - 1] == ':')
       return &cm;
   }
   return nullptr;
@@ -1030,79 +971,54 @@ EffectAnalysis analyze_effects(const SourceModel& model,
     if (!d.def->class_name.empty())
       def_classes_by_simple[simple_of(d.def->class_name)].insert(
           d.def->class_name);
-  std::set<std::string> dispatch_risky;
-  for (const std::string& q : model.poly_classes)
-    dispatch_risky.insert(simple_of(q));
-  for (const auto& [derived, bs] : model.bases) {
-    dispatch_risky.insert(derived);
-    for (const std::string& b : bs) dispatch_risky.insert(simple_of(b));
-  }
+  const std::set<std::string> dispatch_risky = model.polymorphic();
 
-  // Optimistic interprocedural fixpoint: summary bits start false and the
-  // scan is monotone in them, so iteration converges; recursion and sibling
-  // calls settle within the depth of the call DAG's SCC structure.
-  // Pass 5 alias bindings are computed once up front: the alias fixpoint
-  // depends only on the token model, not on the effect summaries, so it
-  // feeds every effect round without participating in this fixpoint.
+  // Least fixpoint from bottom: every definition starts with the empty
+  // summary, so self-recursion and forward references resolve to "no
+  // effects yet" instead of the unknown-call fallback, whose conservative
+  // event would stick through the join.  The Pass 5 bindings are solved
+  // first: they depend only on the token model, not on effect summaries.
   const AliasAnalysis aliases = analyze_aliases(model, defs);
-  std::map<std::string, FnSummary> by_key, by_name;
-  Ctx ctx{&model,          &by_key,
-          &by_name,        &def_classes_by_simple,
-          &dispatch_risky, &aliases};
-  // Seed every scanned definition with the bottom (empty) summary so round
-  // 0 lookups of not-yet-visited keys — self-recursion, forward references
-  // — resolve to "no effects yet" instead of falling into the unknown-call
-  // fallback, whose conservative event would stick forever through the
-  // monotone merge.  This is the textbook least-fixpoint start.
-  for (const IndexedDef& d : defs) {
-    by_key[d.key];
-    by_name[d.def->name];
-  }
-  // The cap is a backstop: iteration normally breaks on !changed within a
-  // handful of rounds (the call DAG's SCC depth).  It is generous because
-  // the seeded (bottom-up) iteration must actually reach its fixpoint to be
-  // sound — stopping early would under-approximate.
-  for (int round = 0; round < 50; ++round) {
-    bool changed = false;
-    for (std::size_t n = 0; n < defs.size(); ++n) {
-      const IndexedDef& d = defs[n];
-      BodyScan scan(d, ctx);
-      scan.run();
-      FnSummary next;
-      for (const Event& ev : scan.events) {
-        if (ev.mut && ev.via_param) {
+  SummaryTable<FnSummary> summaries(defs);
+  Ctx ctx{&model, &summaries, &def_classes_by_simple, &dispatch_risky,
+          &aliases};
+  // Each definition's last scan read final summaries: the verdicts below
+  // reuse it.
+  struct Scan {
+    std::vector<Event> events;
+    bool catches = false;
+  };
+  std::vector<Scan> last(defs.size());
+  summaries.solve(
+      [&](std::size_t n) {
+        BodyScan scan(defs[n], ctx);
+        scan.run();
+        FnSummary next;
+        for (const Event& ev : scan.events) {
+          next.may_throw |= ev.thr;
+          if (!ev.mut) continue;
+          if (!ev.via_param) {
+            next.mutates_env = true;
+            next.writes_unknown |= ev.target_unknown;
+            next.writes.insert(ev.targets.begin(), ev.targets.end());
+            continue;
+          }
           next.mutates_params = true;
-          if (ev.target_unknown) next.param_writes_unknown = true;
+          next.param_writes_unknown |= ev.target_unknown;
           next.param_writes.insert(ev.targets.begin(), ev.targets.end());
-          if (ev.via_positions.empty())
-            next.param_positions_unknown = true;
-          else
-            next.write_param_positions.insert(ev.via_positions.begin(),
-                                              ev.via_positions.end());
+          next.param_positions_unknown |= ev.via_positions.empty();
+          next.write_param_positions.insert(ev.via_positions.begin(),
+                                            ev.via_positions.end());
         }
-        if (ev.mut && !ev.via_param) {
-          next.mutates_env = true;
-          if (ev.target_unknown) next.writes_unknown = true;
-          next.writes.insert(ev.targets.begin(), ev.targets.end());
-        }
-        if (ev.thr) next.may_throw = true;
-      }
-      next.may_throw |= instrumented[n];  // injection point at wrapper entry
-      next.catches = scan.catches;
-      FnSummary& cur = by_key[d.key];
-      FnSummary merged = cur;
-      join(merged, next);
-      if (!(merged == cur)) changed = true;
-      cur = std::move(merged);
-    }
-    by_name.clear();
-    for (const IndexedDef& d : defs) join(by_name[d.def->name], by_key[d.key]);
-    if (!changed) break;
-  }
+        next.may_throw |= instrumented[n];  // injection point at wrapper entry
+        next.catches = scan.catches;
+        last[n] = {std::move(scan.events), scan.catches};
+        return next;
+      },
+      join);
 
   // Final positioned pass over every instrumented method: the verdict.
   EffectAnalysis out;
-  out.helpers = by_key;
   for (const auto& [cls_name, cm] : model.classes) {
     auto add = [&](const std::string& method, bool is_static) {
       EffectSummary es;
@@ -1112,15 +1028,14 @@ EffectAnalysis analyze_effects(const SourceModel& model,
       es.is_static = is_static;
       auto add_reason = [&es](const char* r) {
         es.write_top = true;
-        for (const std::string& have : es.write_top_reasons)
-          if (have == r) return;
-        es.write_top_reasons.push_back(r);
+        std::vector<std::string>& rs = es.write_top_reasons;
+        if (std::find(rs.begin(), rs.end(), r) == rs.end()) rs.push_back(r);
       };
-      for (const IndexedDef& d : defs) {
-        if (d.def->name != method) continue;
-        if (class_of(model, d.def->class_name) != &cm) continue;
-        BodyScan scan(d, ctx);
-        scan.run();
+      for (std::size_t n = 0; n < defs.size(); ++n) {
+        const IndexedDef& d = defs[n];
+        if (d.def->name != method || class_of(model, d.def->class_name) != &cm)
+          continue;
+        const Scan& scan = last[n];
         es.scanned = true;
         es.catches = scan.catches;
         std::size_t first_mut = std::numeric_limits<std::size_t>::max();
@@ -1176,18 +1091,10 @@ EffectAnalysis analyze_effects(const SourceModel& model,
         for (const std::string& sink : ai.this_sinks) {
           if (escapes) break;
           const FnSummary* fs = nullptr;
-          if (!d.def->class_name.empty()) {
-            auto it = by_key.find(d.def->class_name + "::" + sink);
-            if (it != by_key.end()) fs = &it->second;
-          }
-          if (fs == nullptr) {
-            auto it = by_key.find(sink);
-            if (it != by_key.end()) fs = &it->second;
-          }
-          if (fs == nullptr) {
-            auto it = by_name.find(sink);
-            if (it != by_name.end()) fs = &it->second;
-          }
+          if (!d.def->class_name.empty())
+            fs = summaries.by_key(d.def->class_name + "::" + sink);
+          if (fs == nullptr) fs = summaries.by_key(sink);
+          if (fs == nullptr) fs = summaries.by_name(sink);
           if (fs == nullptr || fs->mutates_env || fs->mutates_params)
             escapes = true;
         }
@@ -1199,6 +1106,7 @@ EffectAnalysis analyze_effects(const SourceModel& model,
     for (const std::string& m : cm.instrumented) add(m, false);
     for (const std::string& m : cm.statics) add(m, true);
   }
+  out.helpers = summaries.keyed();
   return out;
 }
 

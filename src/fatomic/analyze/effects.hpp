@@ -1,26 +1,18 @@
-// Pass 1 of the static analyzer: per-method effect summaries.
+// Pass 1 of the static analyzer: per-method effect summaries (DESIGN.md §7).
 //
-// The paper detects non-atomic exception handling dynamically, by injecting
-// exceptions and diffing object graphs.  This pass complements the injector
-// with a static prover: for every instrumented method it scans the wrapper
-// body (the FAT_INVOKE lambda) and decides whether the method is
-//
-//   - read-only: no statement can mutate state reachable by a caller, or
-//   - commit-point-last: every statement that can raise an exception
-//     precedes every statement that can mutate such state (a method whose
-//     only mutations happen after its last possible failure point is
-//     trivially failure atomic — the "audit first, then splice" fix pattern
-//     of Section 6.1).
-//
-// Either verdict proves the method failure atomic under the injector's fault
-// model (exceptions originate at instrumented calls and explicit throws; see
-// DESIGN.md §7 for the soundness argument and its assumptions).  Everything
-// the scanner cannot prove safe counts as a mutation, and every call it
-// cannot resolve counts as fallible — unknowns only ever demote a verdict.
-//
-// The analysis is interprocedural over the scanned sources: un-instrumented
-// helpers (node_at, dispose, ...) get their own {mutates, throws} summaries,
-// computed as an optimistic fixpoint so recursion and sibling calls resolve.
+// The paper detects non-atomic exception handling dynamically; this pass
+// adds a static prover.  For every instrumented method it scans the wrapper
+// body (the FAT_INVOKE lambda) and decides whether the method is read-only
+// (no statement can mutate state a caller can reach) or commit-point-last
+// (every statement that can raise precedes every one that can mutate such
+// state — the "audit first, then splice" fix pattern of Section 6.1).
+// Either verdict proves it failure atomic under the injector's fault model:
+// exceptions originate at instrumented calls and explicit throws.  What the
+// scanner cannot prove safe counts as a mutation and every call it cannot
+// resolve as fallible, so unknowns only ever demote a verdict.  Helpers
+// (node_at, dispose, ...) get their own {mutates, throws} summaries, the
+// least fixpoint from bottom (fixpoint.hpp), so recursion and sibling calls
+// resolve.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +27,8 @@
 namespace fatomic::analyze {
 
 /// Interprocedural facts about one function, used when resolving calls to
-/// it.  Computed for every scanned definition (instrumented or not) by an
-/// optimistic fixpoint: bits start false and only ever flip to true.
+/// it.  Computed for every scanned definition (instrumented or not) from
+/// bottom: bits start false and only ever flip to true.
 struct FnSummary {
   /// Mutates state that outlives the call other than through its parameters
   /// (the receiver, members, anything reached from them).

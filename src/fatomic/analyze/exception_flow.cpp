@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fatomic/analyze/fixpoint.hpp"
 #include "fatomic/weave/method_info.hpp"
 #include "fatomic/weave/runtime.hpp"
 
@@ -22,24 +23,34 @@ ExceptionFlow propagate_exceptions(const detect::Campaign& campaign) {
   }
 
   // Transitive closure over the dynamic call graph: an exception escaping a
-  // callee unwinds through its caller's wrapper.  Iterate to fixpoint; the
-  // sets only grow and are bounded by the union of all seeds.
+  // callee unwinds through its caller's wrapper.
   const detect::CallGraph graph = detect::CallGraph::from(campaign);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [caller, callees] : graph.edges()) {
-      if (caller == detect::CallGraph::kRoot) continue;
-      std::set<std::string>& s = flow.may_propagate[caller];
-      const std::size_t before = s.size();
-      for (const auto& [callee, count] : callees) {
-        auto it = flow.may_propagate.find(callee);
-        if (it != flow.may_propagate.end())
-          s.insert(it->second.begin(), it->second.end());
-      }
-      if (s.size() != before) changed = true;
-    }
+  for (const auto& [caller, callees] : graph.edges())
+    if (caller != detect::CallGraph::kRoot) flow.may_propagate[caller];
+  std::map<std::string, std::size_t> ix;
+  std::vector<std::set<std::string>> seeds;
+  for (const auto& [method, s] : flow.may_propagate) {
+    ix[method] = seeds.size();
+    seeds.push_back(s);
   }
+  CallHint calls(seeds.size());
+  for (const auto& [caller, callees] : graph.edges())
+    for (const auto& [callee, count] : callees)
+      if (caller != detect::CallGraph::kRoot && ix.count(callee))
+        calls[ix[caller]].push_back(ix[callee]);
+  auto join = [](auto& into, const auto& from) {
+    into.insert(from.begin(), from.end());
+  };
+  Fixpoint<std::set<std::string>> sets(std::move(seeds));
+  sets.solve(
+      calls,
+      [&](std::size_t n) {
+        std::set<std::string> next;
+        for (std::size_t c : calls[n]) join(next, sets.read(c));
+        return next;
+      },
+      join);
+  for (auto& [method, s] : flow.may_propagate) s = sets.read(ix[method]);
   return flow;
 }
 

@@ -1,19 +1,13 @@
 // Pass 2 of the static analyzer: interprocedural exception-flow propagation.
 //
-// The paper's Analyzer computes, for every method, the exceptions it may
-// raise — the declared set E_1..E_k plus generic runtime exceptions
-// E_{k+1}..E_n.  This pass lifts that to a may-propagate set over the whole
-// program: a fixpoint over the dynamic call graph where each method
-// propagates its own declared exceptions, the generic runtime exceptions,
-// and everything its callees may propagate (an exception escaping a callee
-// passes through the caller's frame).
-//
-// The lint then cross-checks the dynamic campaign against the static sets:
-// every exception type observed passing through a method's wrapper (the
-// Mark::exception_type recorded by the injector) must be in that method's
-// may-propagate set.  A violation means the method's FAT_THROWS declaration
-// is incomplete — the exact mis-declaration the paper's exception-free
-// annotations (Section 4.3) must be able to trust.
+// The paper's Analyzer gives every method the exceptions it may raise: its
+// declared set E_1..E_k plus the generic runtime exceptions E_{k+1}..E_n.
+// This pass closes those sets over the dynamic call graph, since whatever
+// escapes a callee passes through its caller's frame.  The lint then checks
+// every exception type observed passing through a method's wrapper
+// (Mark::exception_type) against that method's set: a miss means its
+// FAT_THROWS declaration is incomplete — the mis-declaration the paper's
+// exception-free annotations (Section 4.3) must be able to trust.
 #pragma once
 
 #include <map>

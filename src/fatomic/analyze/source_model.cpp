@@ -223,13 +223,10 @@ void harvest_clean_const(const Tokens& t, const TokenView& v,
   }
 }
 
-/// Harvests declared types for reflected field names: a token that names a
-/// known field, is followed by `;`/`=`/`{` (a declaration, not a use), and
-/// is preceded by a type token (identifier, `>`, `*` or `&`).  The type is
-/// every token back to the previous declaration boundary.
 /// Records the simple name of every class/struct declaration (including
 /// forward declarations — a name is a name).
-void harvest_class_names(const Tokens& t, SourceModel& model) {
+void harvest_class_names(const Tokens& t, const TokenView& v,
+                         SourceModel& model) {
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (t[i].text == "enum") {
       // `enum X` / `enum class X` / `enum struct X`.
@@ -266,32 +263,28 @@ void harvest_class_names(const Tokens& t, SourceModel& model) {
       if (!last.empty() && !keywords().count(last))
         model.bases[cls].insert(last);
       // Skip template arguments of the base, if any.
-      if (k < t.size() && t[k].text == "<") {
-        int angle = 0;
-        for (; k < t.size(); ++k) {
-          if (t[k].text == "<") ++angle;
-          else if (t[k].text == ">" && --angle == 0) { ++k; break; }
-          else if (t[k].text == ">>" && (angle -= 2) <= 0) { ++k; break; }
-        }
-      }
+      if (k < t.size() && t[k].text == "<")
+        k = std::min(v.angle_end(k), t.size());
       if (k < t.size() && t[k].text == ",") { ++k; continue; }
       break;
     }
   }
 }
 
+/// Harvests declared types for reflected field names: a token that names a
+/// known field, is followed by `;`/`=`/`{` (a declaration, not a use), and
+/// is preceded by a type token (identifier, `>`, `*` or `&`).  The type is
+/// every token back to the previous declaration boundary.
 void harvest_declared_types(const Tokens& t, SourceModel& model) {
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
     if (!is_ident(t[i].text) || keywords().count(t[i].text)) continue;
     const std::string& next = t[i + 1].text;
     if (next != ";" && next != "=" && next != "{") continue;
     const std::string& prev = t[i - 1].text;
-    static const std::set<std::string> builtins = {
-        "int",  "bool",  "char",  "unsigned", "signed",
-        "long", "short", "float", "double",   "auto"};
     const bool type_ish =
         prev == ">" || prev == ">>" || prev == "*" || prev == "&" ||
-        (is_ident(prev) && (!keywords().count(prev) || builtins.count(prev)));
+        (is_ident(prev) && (!keywords().count(prev) || prev == "auto" ||
+                            (prev != "void" && builtin_types().count(prev))));
     if (!type_ish) continue;
     // Walk back over type tokens only; any non-type token (`=`, `+`,
     // `return`, ...) before a declaration boundary means this is an
@@ -371,7 +364,7 @@ std::vector<Param> parse_params(const Tokens& t, std::size_t open,
 
 /// Walks one .cpp token stream collecting out-of-line function definitions.
 void collect_definitions(const Tokens& t, const TokenView& v,
-                         const std::string& file, SourceModel& model) {
+                         SourceModel& model) {
   std::vector<std::string> ns;  // namespace stack entries ("" = anonymous)
   std::size_t i = 0;
   while (i < t.size()) {
@@ -403,17 +396,9 @@ void collect_definitions(const Tokens& t, const TokenView& v,
       continue;
     }
     if (tok == "template") {  // skip template header's <...>
-      std::size_t k = i + 1;
-      if (k < t.size() && t[k].text == "<") {
-        int depth = 0;
-        for (; k < t.size(); ++k) {
-          if (t[k].text == "<") ++depth;
-          else if (t[k].text == ">" && --depth == 0) break;
-          else if (t[k].text == ">>") depth -= 2;
-          if (depth <= 0 && t[k].text != "<") break;
-        }
-      }
-      i = k + 1;
+      i = i + 1 < t.size() && t[i + 1].text == "<"
+              ? std::min(v.angle_end(i + 1), t.size())
+              : i + 2;
       continue;
     }
     // Candidate function definition: find the next '(' before any ';'/'{'.
@@ -456,13 +441,10 @@ void collect_definitions(const Tokens& t, const TokenView& v,
     }
     // What follows the parameter list?
     std::size_t after = close + 1;
-    bool is_const = false;
     while (after < t.size() &&
            (t[after].text == "const" || t[after].text == "noexcept" ||
-            t[after].text == "override" || t[after].text == "final")) {
-      if (t[after].text == "const") is_const = true;
+            t[after].text == "override" || t[after].text == "final"))
       ++after;
-    }
     // Function-try-block: `f() try { ... } catch (...) { ... }`.  The body
     // recorded below starts at the `try` keyword and runs through the last
     // catch clause, so downstream passes see the same try/catch structure a
@@ -533,7 +515,6 @@ void collect_definitions(const Tokens& t, const TokenView& v,
       if (!cls.empty())
         def.class_name = prefix.empty() ? cls : prefix + "::" + cls;
       def.name = name;
-      def.is_const = is_const;
       def.params = parse_params(t, paren, close);
       if (fn_try)
         def.body.assign(t.begin() + static_cast<std::ptrdiff_t>(try_pos),
@@ -541,7 +522,6 @@ void collect_definitions(const Tokens& t, const TokenView& v,
       else
         def.body.assign(t.begin() + static_cast<std::ptrdiff_t>(after) + 1,
                         t.begin() + static_cast<std::ptrdiff_t>(body_end));
-      def.file = file;
       model.functions.push_back(std::move(def));
     }
     i = def_end + 1;
@@ -602,14 +582,14 @@ SourceModel scan_sources(const std::string& root) {
   for (std::size_t f = 0; f < header_tokens.size(); ++f) {
     const Tokens& toks = header_tokens[f].second;
     harvest_clean_const(toks, header_views[f], model);
-    harvest_class_names(toks, model);
+    harvest_class_names(toks, header_views[f], model);
     harvest_declared_types(toks, model);
   }
   for (std::size_t f = 0; f < source_tokens.size(); ++f) {
-    const auto& [file, toks] = source_tokens[f];
-    harvest_class_names(toks, model);
+    const Tokens& toks = source_tokens[f].second;
+    harvest_class_names(toks, source_views[f], model);
     harvest_declared_types(toks, model);
-    collect_definitions(toks, source_views[f], file, model);
+    collect_definitions(toks, source_views[f], model);
   }
   return model;
 }

@@ -1,20 +1,13 @@
-// Pass 0 of the static analyzer: a lightweight lexical model of the subject
-// sources.  The paper's Analyzer (Figure 1, step 1) works on Java bytecode;
-// our substitute tokenizes the instrumented C++ subject tree directly — no
-// compiler front end — and recovers exactly the facts the effect and
-// exception-flow passes need:
-//
-//   - per-class instrumentation metadata (FAT_METHOD_INFO / FAT_STATIC_INFO /
-//     FAT_CTOR_INFO declarations and their FAT_THROWS lists),
-//   - reflected member fields (FAT_REFLECT / FAT_FIELD),
-//   - every out-of-line function definition (instrumented wrapper bodies,
-//     un-instrumented helpers, and file-local free functions) with its
-//     parameter list and body token stream,
-//   - names of verified-clean inline const accessors (no throws, no calls
-//     into instrumented code), which the effect pass may treat as pure.
-//
-// The model is deliberately conservative: anything the scanner cannot parse
-// is simply absent, and absent means "unknown" (never "safe") downstream.
+// Pass 0 of the static analyzer: a lexical model of the subject sources.
+// The paper's Analyzer (Figure 1, step 1) reads Java bytecode; this one
+// tokenizes the instrumented C++ tree directly, with no compiler front end,
+// and recovers the facts the later passes need: per-class instrumentation
+// metadata (FAT_METHOD_INFO / FAT_STATIC_INFO / FAT_CTOR_INFO and their
+// FAT_THROWS lists), reflected fields (FAT_REFLECT / FAT_FIELD), every
+// out-of-line function definition with its parameters and body tokens, and
+// the inline const accessors verified free of throws and instrumented
+// calls.  Anything it cannot parse is absent, and absent means "unknown"
+// (never "safe") downstream.
 #pragma once
 
 #include <map>
@@ -50,11 +43,9 @@ struct FunctionDef {
   /// ones).
   std::string class_name;
   std::string name;
-  bool is_const = false;
   std::vector<Param> params;
   /// Tokens strictly between the outermost body braces.
   std::vector<Token> body;
-  std::string file;
 };
 
 /// Everything the scanner learned about one instrumented class.
@@ -119,6 +110,16 @@ struct SourceModel {
   const ClassModel* find_class(const std::string& qualified) const {
     auto it = classes.find(qualified);
     return it == classes.end() ? nullptr : &it->second;
+  }
+  /// Simple names that may take part in dynamic dispatch: FAT_POLY
+  /// participants and both ends of every inheritance edge.
+  std::set<std::string> polymorphic() const {
+    std::set<std::string> out = poly_classes;
+    for (const auto& [derived, bs] : bases) {
+      out.insert(derived);
+      out.insert(bs.begin(), bs.end());
+    }
+    return out;
   }
 };
 

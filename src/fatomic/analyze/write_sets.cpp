@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "fatomic/analyze/body.hpp"
+#include "fatomic/analyze/fixpoint.hpp"
 
 namespace fatomic::analyze {
 
@@ -172,47 +173,33 @@ std::string WriteSetAnalysis::to_text() const {
 
 WriteSetAnalysis analyze_write_sets(const SourceModel& model,
                                     const EffectAnalysis& effects) {
-  // Polymorphic closure over simple names: FAT_POLY participants, every
-  // class used as a base, and transitively everything deriving from those.
-  std::set<std::string> poly = model.poly_classes;
-  for (const auto& [derived, bs] : model.bases)
-    poly.insert(bs.begin(), bs.end());
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (const auto& [derived, bs] : model.bases) {
-      if (poly.count(derived)) continue;
-      for (const auto& b : bs) {
-        if (!poly.count(b)) continue;
-        poly.insert(derived);
-        grew = true;
-        break;
-      }
-    }
-  }
+  const std::set<std::string> poly = model.polymorphic();
 
   // Reflected classes by simple name; same-name collisions merge
   // conservatively (the walker prunes by name, so the union is sound).
   // Reflected-empty classes (FAT_REFLECT_EMPTY) participate: their contents
   // are provably nothing, which is the opposite of unknown.
-  std::map<std::string, std::vector<const ClassModel*>> by_simple;
-  for (const auto& [qualified, cm] : model.classes)
-    if (!cm.fields.empty() || cm.reflected)
-      by_simple[simple_of(qualified)].push_back(&cm);
-
-  // Per-class reach fixpoint, mutually recursive with per-member reach
-  // (member types name classes; class reach unions member reaches).
-  std::map<std::string, Reach> class_reach;  // by qualified name
+  std::map<std::string, std::vector<std::size_t>> by_simple;
+  std::map<std::string, std::size_t> node_of;  // by qualified name
+  std::vector<const ClassModel*> classes;
+  std::vector<Reach> seeds;
   for (const auto& [qualified, cm] : model.classes) {
+    if (!cm.fields.empty() || cm.reflected)
+      by_simple[simple_of(qualified)].push_back(classes.size());
+    node_of[qualified] = classes.size();
+    classes.push_back(&cm);
     Reach r;
     r.names = cm.fields;
     // Instrumented but never reflected: unknown contents.  An explicitly
     // empty reflection block stays closed — it asserts statelessness.
     r.open = cm.fields.empty() && !cm.reflected;
     r.poly = poly.count(simple_of(qualified)) > 0;
-    class_reach[qualified] = r;
+    seeds.push_back(std::move(r));
   }
 
+  // Per-class reach, mutually recursive with per-member reach (member
+  // types name classes; class reach unions member reaches).
+  Fixpoint<Reach> reach(std::move(seeds));
   auto member_reach = [&](const std::string& name) {
     Reach r;
     auto it = model.declared_types.find(name);
@@ -225,46 +212,33 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
       if (model.enum_names.count(tok)) continue;  // value type
       auto bs = by_simple.find(tok);
       if (bs != by_simple.end()) {
-        for (const ClassModel* cm : bs->second)
-          r.merge(class_reach[cm->qualified_name]);
-        if (poly.count(tok)) r.poly = true;
+        for (std::size_t c : bs->second) r.merge(reach.read(c));
       } else if (model.class_names.count(tok)) {
-        // A scanned class with no reflected fields: its contents are
-        // invisible to the walker.
-        r.open = true;
-        if (poly.count(tok)) r.poly = true;
+        r.open = true;  // a scanned class with no reflected fields: invisible
+      } else {
+        continue;
       }
+      if (poly.count(tok)) r.poly = true;
     }
     return r;
   };
-
-  for (int round = 0; round < 30; ++round) {
-    bool changed = false;
-    for (const auto& [qualified, cm] : model.classes) {
-      if (cm.fields.empty()) continue;
-      Reach next;
-      next.names = cm.fields;
-      next.poly = poly.count(simple_of(qualified)) > 0;
-      for (const std::string& f : cm.fields) next.merge(member_reach(f));
-      // Reflected bases contribute their subtrees (a derived object holds
-      // the base's fields too).
-      auto bit = model.bases.find(simple_of(qualified));
-      if (bit != model.bases.end()) {
-        for (const std::string& b : bit->second) {
-          auto bs = by_simple.find(b);
-          if (bs == by_simple.end()) continue;
-          for (const ClassModel* bm : bs->second)
-            next.merge(class_reach[bm->qualified_name]);
-        }
-      }
-      Reach& cur = class_reach[qualified];
-      if (!(next == cur)) {
-        cur = next;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  reach.solve(
+      [&](std::size_t n) {
+        // The seed already holds the class's own fields and poly flag.
+        const ClassModel& cm = *classes[n];
+        Reach next;
+        if (cm.fields.empty()) return next;
+        for (const std::string& f : cm.fields) next.merge(member_reach(f));
+        // Reflected bases contribute their subtrees (a derived object holds
+        // the base's fields too).
+        auto bit = model.bases.find(simple_of(cm.qualified_name));
+        if (bit != model.bases.end())
+          for (const std::string& b : bit->second)
+            if (auto bs = by_simple.find(b); bs != by_simple.end())
+              for (std::size_t c : bs->second) next.merge(reach.read(c));
+        return next;
+      },
+      [](Reach& into, const Reach& from) { into.merge(from); });
 
   // Per-method plan derivation.
   WriteSetAnalysis out;
@@ -334,7 +308,7 @@ WriteSetAnalysis analyze_write_sets(const SourceModel& model,
       if (cm != nullptr && !es.write_top) {
         // Prune: any name in the receiver closure whose own reach is
         // closed, monomorphic, and disjoint from the capture set.
-        const Reach& recv = class_reach[cm->qualified_name];
+        const Reach& recv = reach.read(node_of.at(cm->qualified_name));
         std::set<std::string> candidates = recv.names;
         candidates.insert(cm->fields.begin(), cm->fields.end());
         for (const std::string& n : candidates) {

@@ -1,24 +1,21 @@
 // Pass 3 of the static analyzer: interprocedural write sets and the
-// checkpoint plans they justify.
+// checkpoint plans they justify (DESIGN.md §8).
 //
-// For every instrumented method the effect pass (Pass 1) already records
-// which member names its pre-injection mutations may write, folding helper
-// and sibling summaries in through the same fixpoint that drives the
-// atomicity prover.  This pass turns those name sets into per-method
-// snapshot::CheckpointPlans for the atomicity wrapper (DESIGN.md §8):
+// Pass 1 records which member names each instrumented method's
+// pre-injection mutations may write, helper and sibling summaries folded
+// in.  This pass turns those name sets into snapshot::CheckpointPlans:
 //
 //   capture — the write-set names, admitted only when every scanned
 //             declaration of the name has a value-like type (builtins,
-//             std::string, enums): the method can only overwrite primitive
-//             leaves, never change the receiver graph's shape;
+//             std::string, enums): the method only overwrites primitive
+//             leaves, never the shape of the receiver graph;
 //   prune   — member names whose reachable subtrees provably cannot contain
 //             any capture name, so the checkpoint walk may skip them.
 //
-// Anything outside that argument collapses to ⊤ (full checkpoint): unknown
-// or parameter-aliased write targets, receivers escaping via `this`, catch
-// clauses, non-value-like capture types, unreflected or polymorphic classes
-// anywhere in the receiver's walk set.  ⊤ is always sound — it reproduces
-// the paper's whole-graph deep copy.
+// Anything outside that argument collapses to ⊤, the paper's full deep
+// copy, which is always sound: unknown or parameter-aliased write targets,
+// `this` escaping, catch clauses, non-value-like capture types, unreflected
+// or polymorphic classes anywhere in the receiver's walk set.
 #pragma once
 
 #include <cstddef>
