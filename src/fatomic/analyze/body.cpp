@@ -140,11 +140,113 @@ std::vector<std::pair<std::size_t, std::size_t>> TokenView::split_args(
   return out;
 }
 
-std::string TokenView::leading_qualifier(std::size_t i) const {
-  std::string leading;
-  for (std::size_t j = i; j >= 2 && tk(j - 1) == "::"; j -= 2)
-    leading = tk(j - 2);
-  return leading;
+namespace {
+
+bool is_named_cast(const std::string& t) {
+  return t == "static_cast" || t == "dynamic_cast" || t == "const_cast" ||
+         t == "reinterpret_cast";
+}
+
+}  // namespace
+
+PostfixChain TokenView::chain_from(std::size_t b, std::size_t e) const {
+  return chain_from(b, std::min(e, size_), 0);
+}
+
+PostfixChain TokenView::chain_from(std::size_t b, std::size_t e,
+                                   int depth) const {
+  PostfixChain c;
+  c.begin = b;
+  std::size_t k = b;
+  while (k < e && (tk(k) == "*" || tk(k) == "&")) c.prefix.push_back(tk(k++));
+  // The operand: a group — a parenthesized chain or a named cast's
+  // operand, spliced in, else opaque — or a (qualified) name or `this`.
+  std::size_t group = tk(k) == "(" ? k : npos;
+  if (is_named_cast(tk(k)) && tk(k + 1) == "<" && tk(angle_end(k + 1)) == "(")
+    group = angle_end(k + 1);
+  if (group != npos) {
+    const std::size_t close_pos = close(group);
+    if (close_pos >= e) {
+      c.end = k;
+      return c;
+    }
+    // `make<T>(x)`: a templated callee's arguments, not an operand.
+    PostfixChain in;
+    if (depth < kMaxGroupDepth && !(group == k && tk(k - 1) == ">"))
+      in = chain_from(group + 1, close_pos, depth + 1);
+    c.opaque = in.end != close_pos || in.head.empty() ||
+               std::count(in.prefix.begin(), in.prefix.end(), "&") > 0;
+    if (!c.opaque) {
+      const std::size_t stars = in.prefix.size(), at = in.begin;
+      in.prefix = std::move(c.prefix);
+      in.begin = b;
+      c = std::move(in);
+      for (std::size_t s = stars; s-- > 0;)  // the innermost `*` first
+        c.links.push_back({ChainLink::Kind::Deref, "", at + s, 0});
+    }
+    k = close_pos + 1;
+  } else if (k < e && (is_name(tk(k)) || tk(k) == "this")) {
+    for (; tk(k + 1) == "::" && k + 2 < e && is_name(tk(k + 2)); k += 2)
+      c.quals.push_back(tk(k));
+    c.head = tk(k);
+    c.head_pos = k++;
+  }
+  for (; k < e; ++k) {
+    const std::string& t = tk(k);
+    if ((t == "." || t == "->") && k + 1 < e && is_name(tk(k + 1))) {
+      ++k;  // `x.Base::f`: the last name is the member
+      while (tk(k + 1) == "::" && k + 2 < e && is_name(tk(k + 2))) k += 2;
+      c.links.push_back({t == "." ? ChainLink::Kind::Member
+                                  : ChainLink::Kind::Arrow,
+                         tk(k), k, 0});
+    } else if ((t == "(" || t == "[") && close(k) < e) {
+      c.links.push_back({t == "(" ? ChainLink::Kind::Call
+                                  : ChainLink::Kind::Index,
+                         "", k, close(k)});
+      k = close(k);
+    } else {
+      break;
+    }
+  }
+  c.end = k;
+  return c;
+}
+
+std::size_t TokenView::chain_start(std::size_t end) const {
+  std::size_t j = std::min(end, size_);
+  // Walk left over names joined by `.`, `->` and `::` (a member link
+  // counts even when nothing parseable precedes it: `Foo{x}.f`), and over
+  // bracket groups.
+  while (j > 0) {
+    const std::string& t = tk(j - 1);
+    if ((t == ")" || t == "]") && open_of(j - 1) != npos) {
+      j = open_of(j - 1);
+      if (tk(j - 1) != ">") continue;
+      // A named cast's operand, else a templated callee's arguments.
+      std::size_t a = j - 1;
+      while (a > 0 && tk(a) != "<" && tk(a) != ";") --a;
+      if (a > 0 && is_named_cast(tk(a - 1))) j = a - 1;
+      break;
+    }
+    if (!is_name(t) && t != "this") break;
+    const std::string& sep = tk(--j - 1);
+    if (j == 0 || !(sep == "." || sep == "->" ||
+                    (sep == "::" && is_name(tk(j - 2)))))
+      break;
+    --j;
+  }
+  while ((tk(j - 1) == "*" || tk(j - 1) == "&") && operand_starts(j - 1)) --j;
+  return j;
+}
+
+bool TokenView::operand_starts(std::size_t i) const {
+  const std::string& p = tk(i - 1);  // the empty token when i == 0
+  if (p != ")")
+    return !(is_name(p) || is_number(p) || p == "this" || p == "]" ||
+             p == "\"\"" || p == "''");
+  // `if (c) *p = v`: a statement header's closing parenthesis.
+  const std::string& kw = tk(open_of(i - 1) - 1);
+  return kw == "if" || kw == "while" || kw == "for" || kw == "switch";
 }
 
 std::size_t TokenView::angle_end(std::size_t open) const {
@@ -244,17 +346,11 @@ BodyIndex::BodyIndex(const std::vector<Token>& tokens, std::size_t begin,
     if (tk(t) != "throw") continue;
     ThrowSite s;
     s.pos = t;
-    std::size_t j = t + 1;
-    if (is_name(tk(j))) {
-      std::string last = tk(j);
-      ++j;
-      while (tk(j) == "::" && is_ident(tk(j + 1))) {
-        last = tk(j + 1);
-        s.qualified = true;
-        j += 2;
-      }
-      if (tk(j) == "(" || tk(j) == "{") s.type = last;
-    }
+    const PostfixChain c = chain_from(t + 1);
+    s.qualified = !c.quals.empty();
+    if (c.prefix.empty() && is_name(c.head) &&
+        (tk(c.head_pos + 1) == "(" || tk(c.head_pos + 1) == "{"))
+      s.type = c.head;
     throws_.push_back(s);
   }
 }

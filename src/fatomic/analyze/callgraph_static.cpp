@@ -166,17 +166,13 @@ CallEvt Builder::resolve_call(const FunctionDef& def, const BodyIndex& v,
   evt.pos = i;
   const std::string& name = v.tk(i);
 
-  // Reconstruct a `Qual::...::name` chain leftwards.
-  std::vector<std::string> quals;
-  std::size_t j = i;
-  while (j >= 2 && v.tk(j - 1) == "::" && is_ident(v.tk(j - 2))) {
-    quals.insert(quals.begin(), v.tk(j - 2));
-    j -= 2;
-  }
-  if (!quals.empty() && (quals.front() == "std" || quals.front() == "fatomic"))
-    return evt;  // standard library / framework: never a subject target
-
-  if (!quals.empty()) {
+  // The call's chain: a `Qual::...::name` head, or a member link.
+  const PostfixChain c = v.chain_until(i + 1);
+  const bool member_call = !c.links.empty();
+  const std::vector<std::string>& quals = c.quals;
+  if (!member_call && !quals.empty()) {
+    if (quals.front() == "std" || quals.front() == "fatomic")
+      return evt;  // standard library / framework: never a subject target
     // Qualified call: resolve through the last written qualifier.
     const std::string& cls = quals.back();
     auto sq = simple_to_quals.find(cls);
@@ -192,7 +188,6 @@ CallEvt Builder::resolve_call(const FunctionDef& def, const BodyIndex& v,
     return evt;
   }
 
-  const bool member_call = v.tk(j - 1) == "." || v.tk(j - 1) == "->";
   if (!member_call && !def.class_name.empty()) {
     // Unqualified call inside a member definition: C++ lookup finds a
     // member of the same class first (wrapper lambdas capture `this`, so

@@ -119,6 +119,14 @@ class SummaryTable {
   /// nullptr when no definition has that key / name.
   const V* by_key(const std::string& k) { return find(nodes_.key, k); }
   const V* by_name(const std::string& n) { return find(nodes_.name, n); }
+  /// What a call to `name` from a definition of class `cls` ("" for a free
+  /// function) reaches: the same class's member, else the free function,
+  /// else the union over every definition with that simple name.
+  const V* callee(const std::string& cls, const std::string& name) {
+    const V* v = cls.empty() ? nullptr : by_key(cls + "::" + name);
+    if (v == nullptr) v = by_key(name);
+    return v != nullptr ? v : by_name(name);
+  }
   /// Whether some definition is named `n` (no dependency).
   bool defines(const std::string& n) const {
     return nodes_.name.count(n) > 0;

@@ -1,15 +1,17 @@
 // Pass 4 (analyze/callgraph_static): scanner edge cases the static graph
 // depends on (function-try-blocks, multi-catch, rethrow, nested template
-// arguments), the catch-aware may-propagate sets, helper chains deeper than
-// any fixed round count, the static lint that closes the dynamic graph's
-// coverage blind spot, the graph-check soundness harness, and the precision
-// floor of the context-sensitive analysis.
+// arguments, a parenthesized dereference), the catch-aware may-propagate
+// sets, helper chains deeper than any fixed round count, the static lint
+// that closes the dynamic graph's coverage blind spot, the graph-check
+// soundness harness, and the precision floor of the context-sensitive
+// analysis.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "fatomic/analyze/callgraph_static.hpp"
 #include "fatomic/analyze/effects.hpp"
@@ -261,6 +263,51 @@ TEST_F(ScannerEdgeCases, WriteAtTheEndOfA51DeepHelperChainIsSeen) {
 
 TEST_F(ScannerEdgeCases, WriteAtTheEndOfA200DeepHelperChainIsSeen) {
   expect_helper_chain_write_seen(200);
+}
+
+// `(*p).count_ = v` is `p->count_ = v`: both write through the parameter p,
+// not a member of the receiver named count_.
+TEST_F(ScannerEdgeCases, ParenthesizedDereferenceWritesThroughThePointer) {
+  write("box.hpp", R"(
+#pragma once
+namespace edge {
+class Bad {};
+class Box {
+ public:
+  void poke(Box* p);
+  void prod(Box* p);
+ private:
+  FAT_METHOD_INFO(edge::Box, poke);
+  FAT_METHOD_INFO(edge::Box, prod);
+  int count_ = 0;
+};
+}  // namespace edge
+FAT_REFLECT(edge::Box, FAT_FIELD(edge::Box, count_));
+)");
+  write("box.cpp", R"(
+#include "box.hpp"
+namespace edge {
+void Box::poke(Box* p) {
+  (*p).count_ = 1;
+  throw Bad();
+}
+void Box::prod(Box* p) {
+  p->count_ = 1;
+  throw Bad();
+}
+}  // namespace edge
+)");
+  const analyze::EffectAnalysis effects = analyze::analyze_effects(scan());
+  for (const char* m : {"edge::Box::poke", "edge::Box::prod"}) {
+    const analyze::EffectSummary* es = effects.find(m);
+    ASSERT_NE(es, nullptr) << m;
+    EXPECT_EQ(es->mutation_events, 1u) << m;
+    EXPECT_TRUE(es->write_top) << m;
+    EXPECT_EQ(es->write_top_reasons,
+              std::vector<std::string>{"parameter-aliased write"})
+        << m;
+    EXPECT_TRUE(es->write_names.empty()) << m;
+  }
 }
 
 // ---- static lint: the dynamic blind spot ------------------------------------
