@@ -4,8 +4,8 @@
 // as in the paper; each cell reports the median of repeated runs.
 //
 // Also includes the ablation microbenches called out in DESIGN.md §5:
-// capture / restore / structural-compare / hash-compare as a function of
-// object size (google-benchmark section after the Figure 5 table).
+// arena capture / restore / compare as a function of object size
+// (google-benchmark section after the Figure 5 table).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -133,12 +133,16 @@ std::string figure5() {
 
 // ---- ablation microbenches ------------------------------------------------------
 
+// The arena checkpoint the runtime takes, restores and compares.
+using fatomic::snapshot::BackendKind;
+using fatomic::snapshot::Checkpoint;
+
 void BM_Capture(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto s = fatomic::snapshot::capture(p);
-    benchmark::DoNotOptimize(s);
+    auto c = Checkpoint::take(p, BackendKind::Arena);
+    benchmark::DoNotOptimize(c);
   }
 }
 BENCHMARK(BM_Capture)->Arg(64)->Arg(1024)->Arg(16384);
@@ -146,9 +150,9 @@ BENCHMARK(BM_Capture)->Arg(64)->Arg(1024)->Arg(16384);
 void BM_Restore(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  auto s = fatomic::snapshot::capture(p);
+  const auto c = Checkpoint::take(p, BackendKind::Arena);
   for (auto _ : state) {
-    fatomic::snapshot::restore(p, s);
+    c.restore_to(p);
   }
 }
 BENCHMARK(BM_Restore)->Arg(64)->Arg(1024)->Arg(16384);
@@ -156,27 +160,13 @@ BENCHMARK(BM_Restore)->Arg(64)->Arg(1024)->Arg(16384);
 void BM_StructuralCompare(benchmark::State& state) {
   Payload p;
   p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  auto a = fatomic::snapshot::capture(p);
-  auto b = fatomic::snapshot::capture(p);
+  const auto a = Checkpoint::take(p, BackendKind::Arena);
+  const auto b = Checkpoint::take(p, BackendKind::Arena);
   for (auto _ : state) {
     benchmark::DoNotOptimize(a.equals(b));
   }
 }
 BENCHMARK(BM_StructuralCompare)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_HashCompare(benchmark::State& state) {
-  // Ablation: compare via precomputed structural hashes instead of the full
-  // node-table comparison (trades exactness for speed on the equal path).
-  Payload p;
-  p.resize_bytes(static_cast<std::size_t>(state.range(0)));
-  auto a = fatomic::snapshot::capture(p);
-  const std::size_t ha = a.hash();
-  for (auto _ : state) {
-    auto b = fatomic::snapshot::capture(p);
-    benchmark::DoNotOptimize(b.hash() == ha);
-  }
-}
-BENCHMARK(BM_HashCompare)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_InjectionWrapperCost(benchmark::State& state) {
   // Cost of one intercepted call in the exception injector program P_I

@@ -97,10 +97,6 @@ class Snapshot {
     return root_ == other.root_ && nodes_ == other.nodes_;
   }
 
-  /// Structural hash; equal snapshots hash equally.  Used by the fast-path
-  /// comparison ablation in bench_fig5.
-  std::size_t hash() const;
-
   /// Human-readable dump for diagnostics and tests.
   std::string to_string() const;
 

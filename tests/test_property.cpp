@@ -5,7 +5,6 @@
 //   P2  any effective mutation changes the snapshot (no false atomics)
 //   P3  restore after arbitrary mutations reproduces the original graph
 //       (no false non-atomics after masking)
-//   P4  hash() is consistent with equals()
 #include <gtest/gtest.h>
 
 #include <random>
@@ -102,7 +101,6 @@ TEST_P(SnapshotProperty, CaptureIsDeterministic) {
   snap::Snapshot a = snap::capture(w);
   snap::Snapshot b = snap::capture(w);
   EXPECT_TRUE(a.equals(b));
-  EXPECT_EQ(a.hash(), b.hash());
 }
 
 TEST_P(SnapshotProperty, EffectiveMutationsAreVisible) {
@@ -111,13 +109,10 @@ TEST_P(SnapshotProperty, EffectiveMutationsAreVisible) {
   populate(w, rng, 10);
   for (int i = 0; i < 20; ++i) {
     snap::Snapshot before = snap::capture(w);
-    // Case 2 can overwrite a map slot with an identical value, which is a
-    // graph no-op; skip the visibility check for that case by comparing.
+    // Case 2 can overwrite a map slot with an identical value, so only a
+    // reported no-op has a fixed expectation.
     bool mutated = mutate_once(w, rng);
     snap::Snapshot after = snap::capture(w);
-    if (mutated && !before.equals(after)) {
-      EXPECT_NE(before.hash(), after.hash());
-    }
     if (!mutated) {
       EXPECT_TRUE(before.equals(after))
           << "a reported no-op must not change the graph";

@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fatomic/config.hpp"
@@ -36,6 +42,34 @@ namespace {
   fatomic::Config config;
   config.jobs(jobs).tracing(true);
   return detect::Experiment(std::move(program), config).run();
+}
+
+/// `program`, but each injector run first waits, for ten seconds at most
+/// over the whole campaign, until injector runs have started on two
+/// threads.  The Count baseline runs on the driving thread and does not
+/// count.
+[[maybe_unused]] std::function<void()> on_two_threads(
+    std::function<void()> program) {
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::thread::id> threads;
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+  };
+  auto gate = std::make_shared<Gate>();
+  return [gate, program = std::move(program)] {
+    if (weave::Runtime::instance().mode() == weave::Mode::Inject) {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      if (!gate->deadline)
+        gate->deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      gate->threads.insert(std::this_thread::get_id());
+      gate->cv.notify_all();
+      gate->cv.wait_until(lock, *gate->deadline,
+                          [&] { return gate->threads.size() >= 2; });
+    }
+    program();
+  };
 }
 
 class TraceTest : public ::testing::Test {
@@ -116,7 +150,9 @@ TEST_F(TraceTest, CanonicalStreamStableAcrossRepeatedRuns) {
 }
 
 TEST_F(TraceTest, WorkerStatsSumToCampaignStats) {
-  detect::Campaign c = traced_campaign(subjects::apps::app("LinkedList").program, 4);
+  // Two workers start a run before either finishes one, so both keep one.
+  detect::Campaign c = traced_campaign(
+      on_two_threads(subjects::apps::app("LinkedList").program), 4);
   ASSERT_FALSE(c.worker_stats.empty());
   weave::RuntimeStats sum;
   std::uint64_t runs = 0;
